@@ -29,9 +29,11 @@
 
 namespace dosc::nn::gemm {
 
-// packed_b_size() quotes the baseline tile width for every dispatch level.
+// packed_b_size() quotes the baseline tile width, and the TN workspace the
+// baseline block sizes, for every dispatch level.
 #ifdef DOSC_GEMM_HAVE_AVX2
 static_assert(gemm_avx2::kNr == gemm_baseline::kNr);
+static_assert(gemm_avx2::kTnWork == gemm_baseline::kTnWork);
 #endif
 
 namespace {
@@ -39,7 +41,7 @@ namespace {
 using RowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n, std::size_t kc,
                         const double* a, std::size_t a_rs, std::size_t a_ks, const double* b,
                         std::size_t ldb, double* c, std::size_t ldc, bool accumulate,
-                        bool upper_only, double* panel);
+                        double* panel);
 using RefFn = void (*)(std::size_t m, std::size_t n, std::size_t kc, const double* a,
                        std::size_t lda, const double* b, std::size_t ldb, double* c,
                        std::size_t ldc, bool accumulate);
@@ -49,15 +51,21 @@ using PackedRowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n,
                               std::size_t ldc, bool accumulate);
 using PackBFn = void (*)(std::size_t kc, std::size_t n, const double* b, std::size_t ldb,
                          double* bp);
+using TnRowsFn = void (*)(std::size_t row0, std::size_t row1, std::size_t n, std::size_t k,
+                          const double* a, std::size_t lda, const double* b, std::size_t ldb,
+                          double* c, std::size_t ldc, bool accumulate, bool upper_only,
+                          double* work);
 
 struct KernelSet {
   RowsFn rows;
+  TnRowsFn tn_rows;
   PackedRowsFn rows_packed;
   PackBFn pack_b;
   RefFn ref_nn;
   RefFn ref_tn;
   RefFn ref_nt;
   std::size_t mr;
+  std::size_t tn_mr;
   const char* isa;
 };
 
@@ -65,14 +73,17 @@ const KernelSet& kernels() {
   static const KernelSet set = [] {
 #ifdef DOSC_GEMM_HAVE_AVX2
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return KernelSet{&gemm_avx2::gemm_rows, &gemm_avx2::gemm_rows_packed,
+      return KernelSet{&gemm_avx2::gemm_rows, &gemm_avx2::gemm_tn_rows,
+                       &gemm_avx2::gemm_rows_packed,
                        &gemm_avx2::pack_b_slab, &gemm_avx2::ref_nn, &gemm_avx2::ref_tn,
-                       &gemm_avx2::ref_nt, gemm_avx2::kMr, "avx2+fma"};
+                       &gemm_avx2::ref_nt, gemm_avx2::kMr, gemm_avx2::kTnMr, "avx2+fma"};
     }
 #endif
-    return KernelSet{&gemm_baseline::gemm_rows, &gemm_baseline::gemm_rows_packed,
+    return KernelSet{&gemm_baseline::gemm_rows, &gemm_baseline::gemm_tn_rows,
+                     &gemm_baseline::gemm_rows_packed,
                      &gemm_baseline::pack_b_slab, &gemm_baseline::ref_nn, &gemm_baseline::ref_tn,
-                     &gemm_baseline::ref_nt, gemm_baseline::kMr, "baseline"};
+                     &gemm_baseline::ref_nt, gemm_baseline::kMr, gemm_baseline::kTnMr,
+                     "baseline"};
   }();
   return set;
 }
@@ -94,6 +105,7 @@ void record(std::size_t m, std::size_t n, std::size_t k) {
   }
 }
 
+/// Packed B panel for products with k too large for ThreadWork.
 std::vector<double>& panel_buffer() {
   thread_local std::vector<double> buf;
   return buf;
@@ -104,24 +116,87 @@ std::vector<double>& transpose_buffer() {
   return buf;
 }
 
-/// Chunks are sized so each holds at least ~256k multiply-adds: smaller
-/// products are not worth a fork/join and run on the calling thread.
-constexpr std::size_t kMinMacsPerChunk = 256 * 1024;
+/// Per-thread kernel workspace: the TN path's packed blocks, or the packed
+/// B panel (k x kNr) of the other paths when it fits, which it does for
+/// every k up to ~5k. Fixed size, so a pool worker never allocates it,
+/// whichever chunks it happens to claim.
+struct alignas(64) ThreadWork {
+  double d[gemm_baseline::kTnWork];
+};
+thread_local ThreadWork t_work;
 
 void run_tiled(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t a_rs,
                std::size_t a_ks, const double* b, std::size_t ldb, double* c, std::size_t ldc,
-               bool accumulate, bool upper_only = false) {
+               bool accumulate) {
   if (m == 0 || n == 0) return;
   const KernelSet& ks = kernels();
   const std::size_t per_row_macs = std::max<std::size_t>(1, n * k);
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
   parallel_for_rows(m, std::max(min_rows, ks.mr), ks.mr,
                     [&](std::size_t row0, std::size_t row1) {
-                      std::vector<double>& panel = panel_buffer();
-                      if (panel.size() < k * 8) panel.resize(std::max<std::size_t>(k * 8, 64));
+                      double* panel = t_work.d;
+                      if (k * gemm_baseline::kNr > gemm_baseline::kTnWork) {
+                        std::vector<double>& buf = panel_buffer();
+                        if (buf.size() < k * gemm_baseline::kNr) {
+                          buf.resize(k * gemm_baseline::kNr);
+                        }
+                        panel = buf.data();
+                      }
                       ks.rows(row0, row1, n, k, a, a_rs, a_ks, b, ldb, c, ldc, accumulate,
-                              upper_only, panel.data());
+                              panel);
                     });
+}
+
+/// Row boundaries that split the upper triangle of an m x m product into at
+/// most `chunks` row ranges of about equal work, aligned to strips of `mr`
+/// rows. The strip at row r0 computes the nr-wide column panels from r0 / nr
+/// on, so equal row ranges would give the first range most of the work.
+/// Returns the number of ranges; range i is [bounds[i], bounds[i + 1]).
+std::size_t triangle_bounds(std::size_t m, std::size_t mr, std::size_t nr, std::size_t chunks,
+                            std::size_t* bounds) {
+  const std::size_t panels = (m + nr - 1) / nr;
+  const auto strip_work = [&](std::size_t r0) { return panels - r0 / nr; };
+  std::size_t total = 0;
+  for (std::size_t r0 = 0; r0 < m; r0 += mr) total += strip_work(r0);
+  std::size_t count = 0;
+  std::size_t done = 0;
+  bounds[0] = 0;
+  for (std::size_t r0 = 0; r0 < m; r0 += mr) {
+    done += strip_work(r0);
+    // Cut once this range holds its share of the total work.
+    if (done * chunks >= total * (count + 1) && count + 1 < chunks) {
+      bounds[++count] = std::min(m, r0 + mr);
+    }
+  }
+  if (bounds[count] < m) bounds[++count] = m;
+  return count;
+}
+
+/// C = A^T B (A stored [k x m]) through the packed-A, k-blocked path, rows
+/// split across the pool; with `upper_only` only the upper triangle (C must
+/// then be square), split into balanced triangle ranges.
+void run_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
+            const double* b, std::size_t ldb, double* c, std::size_t ldc, bool accumulate,
+            bool upper_only) {
+  if (m == 0 || n == 0) return;
+  const KernelSet& ks = kernels();
+  const auto rows = [&](std::size_t row0, std::size_t row1) {
+    ks.tn_rows(row0, row1, n, k, a, lda, b, ldb, c, ldc, accumulate, upper_only,
+               t_work.d);
+  };
+  const std::size_t per_row_macs = std::max<std::size_t>(1, n * k);
+  const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
+  if (!upper_only) {
+    parallel_for_rows(m, std::max(min_rows, ks.tn_mr), ks.tn_mr, rows);
+    return;
+  }
+  // The triangle holds half the work, so it needs twice the rows per chunk.
+  const std::size_t min_chunk_rows = 2 * std::max(min_rows, ks.tn_mr);
+  const std::size_t chunks =
+      std::min(compute_threads(), std::max<std::size_t>(1, m / min_chunk_rows));
+  std::size_t bounds[kMaxComputeThreads + 1];
+  const std::size_t ranges = triangle_bounds(m, ks.tn_mr, gemm_baseline::kNr, chunks, bounds);
+  parallel_chunks(ranges, [&](std::size_t i) { rows(bounds[i], bounds[i + 1]); });
 }
 
 }  // namespace
@@ -159,7 +234,7 @@ void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
 void tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
         const double* b, std::size_t ldb, double* c, std::size_t ldc, bool accumulate) {
   record(m, n, k);
-  run_tiled(m, n, k, a, 1, lda, b, ldb, c, ldc, accumulate);
+  run_tn(m, n, k, a, lda, b, ldb, c, ldc, accumulate, /*upper_only=*/false);
 }
 
 void nt(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
@@ -183,7 +258,7 @@ void gram(std::size_t m, std::size_t k, const double* a, std::size_t lda, double
   // The flop count records the algorithmic 2*m*m*k even though symmetry
   // halves the arithmetic actually executed (standard SYRK accounting).
   record(m, m, k);
-  run_tiled(m, m, k, a, 1, lda, a, lda, c, ldc, /*accumulate=*/false, /*upper_only=*/true);
+  run_tn(m, m, k, a, lda, a, lda, c, ldc, /*accumulate=*/false, /*upper_only=*/true);
   // Mirror the strictly-lower triangle. x*y == y*x exactly in IEEE
   // arithmetic, so the copied element is bit-identical to what a full
   // product would have computed there.

@@ -3,13 +3,15 @@
 // All operands are row-major with explicit leading dimensions, so callers
 // (e.g. KFAC) can compute directly into a sub-block of a larger matrix
 // without materialising intermediates. Kernels are cache-blocked and
-// register-tiled with packed B panels, runtime-dispatched to AVX2+FMA when
-// the CPU supports it (portable baseline otherwise), and row-partitioned
-// across the dosc::nn compute-thread pool for large products.
+// register-tiled with packed B panels (tn and gram also pack A and block
+// k), runtime-dispatched to AVX2+FMA when the CPU supports it (portable
+// baseline otherwise), and row-partitioned across the dosc::nn
+// compute-thread pool for large products.
 //
 // Determinism contract: each output element is reduced over k in ascending
-// order by a single accumulator, and the reduction is never split across
-// threads or tiles. Results are therefore bit-identical across tile shapes
+// order by a single accumulator (which the tn/gram path parks in memory
+// between k-blocks), and the reduction is never split across threads or
+// tiles. Results are therefore bit-identical across tile shapes
 // and thread counts. `accumulate == true` adds the fully reduced product to
 // C with one final addition per element (C += A*B), so it equals computing
 // the product separately and adding it.
@@ -40,6 +42,11 @@ void pack_b(std::size_t k, std::size_t n, const double* b, std::size_t ldb, doub
 void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
                std::size_t lda, const double* bp, double* c, std::size_t ldc,
                bool accumulate);
+
+/// k-steps per block of the tn()/gram() path, which packs A^T in blocks
+/// and carries each element's partial sum between k-blocks (tests probe
+/// the block edges).
+inline constexpr std::size_t kTnBlockK = 256;
 
 /// C[m x n] (+)= A^T * B with A stored [k x m].
 void tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,

@@ -1,12 +1,10 @@
 #include "nn/kfac.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
-#include <vector>
 
 #include "nn/gemm.hpp"
-#include "nn/parallel.hpp"
 
 namespace dosc::nn {
 
@@ -30,10 +28,10 @@ void Kfac::update_factors(Mlp& net) {
     }
   }
 
-  // Layers are independent given the caches, so their factor updates run on
-  // separate compute threads. Nothing below throws or allocates at steady
-  // state.
-  parallel_chunks(layers.size(), [&](std::size_t li) {
+  // One layer at a time; the kernels inside, above all the two Gram
+  // products, split their own work across the compute pool. Nothing below
+  // throws or allocates at steady state.
+  for (std::size_t li = 0; li < layers.size(); ++li) {
     const DenseLayer& layer = layers[li];
     LayerFactors& f = factors_[li];
     const std::size_t batch_n = layer.input.rows();
@@ -77,7 +75,7 @@ void Kfac::update_factors(Mlp& net) {
       ema_update(f.a, ab, config_.ema_decay);
       ema_update(f.g, gb, config_.ema_decay);
     }
-  });
+  }
 }
 
 void Kfac::step(Mlp& net) {
@@ -90,50 +88,44 @@ void Kfac::step(Mlp& net) {
   }
 
   // Per-layer natural gradient v_l = A⁻¹ Ḡ_l G⁻¹ with factored damping
-  // (pi-splitting, Martens & Grosse 2015). Layers are independent, so the
-  // damped solves run on separate compute threads; a throwing solve is
-  // captured and rethrown on the caller after the join.
-  std::vector<std::exception_ptr> errors(layers.size());
-  parallel_chunks(layers.size(), [&](std::size_t li) {
-    try {
-      const DenseLayer& layer = layers[li];
-      LayerFactors& f = factors_[li];
-      const std::size_t in = layer.fan_in();
-      const std::size_t out = layer.fan_out();
+  // (pi-splitting, Martens & Grosse 2015). One layer at a time: the
+  // Cholesky factorisations, the substitutions and the GEMMs split their own
+  // work across the compute pool. Every intermediate lives in the layer's
+  // workspaces, so the step allocates nothing at steady state.
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    const DenseLayer& layer = layers[li];
+    LayerFactors& f = factors_[li];
+    const std::size_t in = layer.fan_in();
+    const std::size_t out = layer.fan_out();
 
-      // Stack weight and bias gradients into the combined [(in+1) x out]
-      // block matching the augmented-input convention.
-      Matrix& grad = f.grad;
-      grad.ensure_shape(in + 1, out);
-      for (std::size_t i = 0; i < in; ++i) {
-        const double* src = layer.grad_weights.data() + i * out;
-        double* dst = grad.data() + i * out;
-        for (std::size_t j = 0; j < out; ++j) dst[j] = src[j];
-      }
-      for (std::size_t j = 0; j < out; ++j) grad(in, j) = layer.grad_bias(0, j);
-
-      const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
-      const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
-      const double pi = std::sqrt(tr_a / tr_g);
-      const double damp = std::sqrt(config_.damping);
-
-      Matrix half = cholesky_solve(f.a, grad, pi * damp);  // A⁻¹ Ḡ
-      f.natural = transpose(cholesky_solve(f.g, transpose(half), damp / pi));  // ... G⁻¹
-
-      // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
-      const Matrix av = matmul(f.a, f.natural);
-      const Matrix avg = matmul(av, f.g);
-      f.quadratic = dot(f.natural, avg);
-    } catch (...) {
-      errors[li] = std::current_exception();
+    // Stack weight and bias gradients into the combined [(in+1) x out]
+    // block matching the augmented-input convention.
+    Matrix& grad = f.grad;
+    grad.ensure_shape(in + 1, out);
+    for (std::size_t i = 0; i < in; ++i) {
+      const double* src = layer.grad_weights.data() + i * out;
+      double* dst = grad.data() + i * out;
+      for (std::size_t j = 0; j < out; ++j) dst[j] = src[j];
     }
-  });
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+    for (std::size_t j = 0; j < out; ++j) grad(in, j) = layer.grad_bias(0, j);
+
+    const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
+    const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
+    const double pi = std::sqrt(tr_a / tr_g);
+    const double damp = std::sqrt(config_.damping);
+
+    cholesky_solve_into(f.half, f.chol, f.a, grad, pi * damp);  // A⁻¹ Ḡ
+    transpose_into(f.half_t, f.half);
+    cholesky_solve_into(f.natural_t, f.chol, f.g, f.half_t, damp / pi);  // ... G⁻¹
+    transpose_into(f.natural, f.natural_t);
+
+    // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
+    matmul_into(f.av, f.a, f.natural);
+    matmul_into(f.avg, f.av, f.g);
+    f.quadratic = dot(f.natural, f.avg);
   }
 
-  // vᵀ F̂ v, accumulated across layers in a fixed order so the trust region
-  // does not depend on which thread finished first.
+  // vᵀ F̂ v, accumulated across layers in layer order.
   double quadratic = 0.0;
   for (const LayerFactors& f : factors_) quadratic += f.quadratic;
 

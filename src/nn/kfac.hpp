@@ -48,12 +48,17 @@ class Kfac final : public Optimizer {
     bool initialised = false;
 
     // Reused per-layer workspaces (update_factors / step). Keeping them here
-    // makes the whole factor update allocation-free at steady state and lets
-    // layers be processed on different compute threads without sharing.
+    // makes the factor update and the step allocation-free at steady state.
     Matrix a_batch;     ///< this batch's input covariance
     Matrix g_batch;     ///< this batch's gradient covariance
     Matrix grad;        ///< stacked [ (in+1) x out ] weight+bias gradient
-    Matrix natural;     ///< per-layer natural gradient
+    Matrix chol;        ///< Cholesky factor of the damped A, then of G
+    Matrix half;        ///< A⁻¹ Ḡ, [ (in+1) x out ]
+    Matrix half_t;      ///< its transpose
+    Matrix natural_t;   ///< G⁻¹ (A⁻¹ Ḡ)ᵀ, [ out x (in+1) ]
+    Matrix natural;     ///< per-layer natural gradient A⁻¹ Ḡ G⁻¹
+    Matrix av;          ///< A v
+    Matrix avg;         ///< A v G
     double quadratic = 0.0;  ///< this layer's contribution to vᵀ F v
   };
 

@@ -1,6 +1,8 @@
 #include "nn/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
@@ -114,11 +116,17 @@ Matrix matmul_nt_reference(const Matrix& a, const Matrix& b) {
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
+  Matrix t;
+  transpose_into(t, a);
+  return t;
+}
+
+void transpose_into(Matrix& t, const Matrix& a) {
+  check(&t != &a, "transpose_into: destination aliases the source");
+  t.ensure_shape(a.cols(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
   }
-  return t;
 }
 
 void add_scaled(Matrix& a, const Matrix& b, double scale) {
@@ -177,39 +185,189 @@ double dot(const Matrix& a, const Matrix& b) noexcept {
 
 namespace {
 
-/// In-place Cholesky factorisation of (m + damping I); returns false if a
-/// non-positive pivot is met.
-bool cholesky_factor(Matrix& m, double damping) {
-  const std::size_t n = m.rows();
-  for (std::size_t i = 0; i < n; ++i) m(i, i) += damping;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = m(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= m(j, k) * m(j, k);
-    if (diag <= 0.0) return false;
-    const double ljj = std::sqrt(diag);
-    m(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = m(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= m(i, k) * m(j, k);
-      m(i, j) = v / ljj;
+/// Two doubles in one vector register. Arithmetic on it is per lane, with
+/// the same operations as on scalars. Loaded and stored through memcpy,
+/// since rows of a matrix are only 8-byte aligned.
+typedef double Pair __attribute__((vector_size(16)));
+
+Pair load_pair(const double* p) {
+  Pair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, Pair v) { std::memcpy(p, &v, sizeof v); }
+
+/// Cholesky factorisation of (M + damping I) as U = L^T, in place in the
+/// upper triangle of `u`, which holds M's lower triangle transposed. Returns
+/// false if a non-positive pivot is met. The lower triangle is not touched.
+///
+/// Every L(i, j) = U(j, i) is one sequential chain: m(i, j) minus
+/// L(i, k) L(j, k) for k = 0, 1, ..., j - 1 in that order, then divided by
+/// L(j, j) = sqrt(m(j, j) - sum_k L(j, k)^2). The textbook (left-looking)
+/// loop computes each chain as a dot product; here each pivot row k instead
+/// subtracts its contribution from all later rows (right-looking), which
+/// applies the same subtractions to every element in the same ascending-k
+/// order, so the bits are the same. The row updates are contiguous axpys,
+/// and after each panel of kPanel pivots, the rows below it are updated on
+/// the compute pool.
+bool cholesky_factor_upper(Matrix& u, double damping) {
+  constexpr std::size_t kPanel = 32;
+  const std::size_t n = u.rows();
+  double* const a = u.data();
+  // Row j (from column j on) -= U(k, j) * row k, for pivots [k0, k1) in
+  // ascending order; eight of row j's elements at a time stay in registers.
+  const auto eliminate = [&](std::size_t j, std::size_t k0, std::size_t k1) {
+    double* rj = a + j * n;
+    std::size_t i = j;
+    for (; i + 8 <= n; i += 8) {
+      Pair acc[4];
+      for (std::size_t q = 0; q < 4; ++q) acc[q] = load_pair(rj + i + 2 * q);
+      for (std::size_t k = k0; k < k1; ++k) {
+        const double* rk = a + k * n;
+        for (std::size_t q = 0; q < 4; ++q) acc[q] -= rk[j] * load_pair(rk + i + 2 * q);
+      }
+      for (std::size_t q = 0; q < 4; ++q) store_pair(rj + i + 2 * q, acc[q]);
     }
+    for (; i < n; ++i) {
+      double v = rj[i];
+      for (std::size_t k = k0; k < k1; ++k) v -= a[k * n + j] * a[k * n + i];
+      rj[i] = v;
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) a[i * n + i] += damping;
+  for (std::size_t k0 = 0; k0 < n; k0 += kPanel) {
+    const std::size_t k1 = std::min(n, k0 + kPanel);
+    for (std::size_t k = k0; k < k1; ++k) {
+      double* rk = a + k * n;
+      if (rk[k] <= 0.0) return false;
+      const double ukk = std::sqrt(rk[k]);
+      rk[k] = ukk;
+      for (std::size_t i = k + 1; i < n; ++i) rk[i] /= ukk;
+      for (std::size_t j = k + 1; j < k1; ++j) eliminate(j, k, k + 1);
+    }
+    // Rows below the panel, dealt out round-robin: row j's work shrinks
+    // with j, so contiguous ranges would be unbalanced.
+    const std::size_t below = n - k1;
+    const std::size_t macs = (k1 - k0) * below * below / 2;
+    const std::size_t chunks =
+        std::min(compute_threads(), std::max<std::size_t>(1, macs / kMinMacsPerChunk));
+    parallel_chunks(chunks, [&](std::size_t c) {
+      for (std::size_t j = k1 + c; j < n; j += chunks) eliminate(j, k0, k1);
+    });
   }
   return true;
+}
+
+// Substitutions for L L^T X = B, in place on X, over a range of X's
+// columns. `lu` holds L in its lower triangle and L^T in its upper one, so
+// both passes read rows of it. For every column, forward substitution
+// computes x_i = (x_i - L(i,0) x_0 - L(i,1) x_1 - ...) / L(i,i) with the
+// subtractions in ascending k, and backward substitution the same with
+// L^T and descending i. Neither the column range nor the blocking below
+// changes any column's operations or their order.
+
+/// W columns starting at x (row stride ld), W a compile-time width: the W
+/// running values of row i stay in registers while the other rows stream.
+template <std::size_t W>
+void substitute_block(const double* lu, std::size_t n, double* x, std::size_t ld) {
+  static_assert(W % 2 == 0);
+  constexpr std::size_t kPairs = W / 2;
+  Pair acc[kPairs];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = lu + i * n;
+    double* xi = x + i * ld;
+    for (std::size_t q = 0; q < kPairs; ++q) acc[q] = load_pair(xi + 2 * q);
+    for (std::size_t k = 0; k < i; ++k) {
+      const double* xk = x + k * ld;
+      for (std::size_t q = 0; q < kPairs; ++q) acc[q] -= li[k] * load_pair(xk + 2 * q);
+    }
+    for (std::size_t q = 0; q < kPairs; ++q) store_pair(xi + 2 * q, acc[q] / li[i]);
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    const double* ui = lu + i * n;  // ui[k] = L(k, i) for k > i
+    double* xi = x + i * ld;
+    for (std::size_t q = 0; q < kPairs; ++q) acc[q] = load_pair(xi + 2 * q);
+    for (std::size_t k = i + 1; k < n; ++k) {
+      const double* xk = x + k * ld;
+      for (std::size_t q = 0; q < kPairs; ++q) acc[q] -= ui[k] * load_pair(xk + 2 * q);
+    }
+    for (std::size_t q = 0; q < kPairs; ++q) store_pair(xi + 2 * q, acc[q] / ui[i]);
+  }
+}
+
+/// One column at a time: the columns left over after the blocks of a system
+/// too large for the stack copy.
+void substitute_column(const double* lu, std::size_t n, double* x, std::size_t ld) {
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = x[i * ld];
+    for (std::size_t k = 0; k < i; ++k) v -= lu[i * n + k] * x[k * ld];
+    x[i * ld] = v / lu[i * n + i];
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double v = x[i * ld];
+    for (std::size_t k = i + 1; k < n; ++k) v -= lu[i * n + k] * x[k * ld];
+    x[i * ld] = v / lu[i * n + i];
+  }
+}
+
+constexpr std::size_t kSubstituteWidth = 8;
+/// Systems up to this order solve each column block in a contiguous copy on
+/// the stack: X's own rows are often 2 KB apart, a stride at which a block
+/// of them evicts itself from L1. A last block narrower than
+/// kSubstituteWidth is padded with zero columns, which stay zero.
+constexpr std::size_t kMaxPackedOrder = 1024;
+
+/// Columns [c0, c1) of X.
+void substitute_range(const Matrix& lu, Matrix& x, std::size_t c0, std::size_t c1) {
+  constexpr std::size_t kW = kSubstituteWidth;
+  const std::size_t n = lu.rows();
+  const std::size_t ld = x.cols();
+  if (n > kMaxPackedOrder) {
+    std::size_t c = c0;
+    for (; c + kW <= c1; c += kW) substitute_block<kW>(lu.data(), n, x.data() + c, ld);
+    for (; c < c1; ++c) substitute_column(lu.data(), n, x.data() + c, ld);
+    return;
+  }
+  double block[kMaxPackedOrder * kW];
+  for (std::size_t c = c0; c < c1; c += kW) {
+    const std::size_t w = std::min(kW, c1 - c);
+    double* xc = x.data() + c;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(xc + i * ld, xc + i * ld + w, block + i * kW);
+      std::fill(block + i * kW + w, block + (i + 1) * kW, 0.0);
+    }
+    substitute_block<kW>(lu.data(), n, block, kW);
+    for (std::size_t i = 0; i < n; ++i) std::copy(block + i * kW, block + i * kW + w, xc + i * ld);
+  }
 }
 
 }  // namespace
 
 Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping) {
+  Matrix x;
+  Matrix l;
+  cholesky_solve_into(x, l, m, b, damping);
+  return x;
+}
+
+void cholesky_solve_into(Matrix& x, Matrix& l, const Matrix& m, const Matrix& b,
+                         double damping) {
   if (m.rows() != m.cols()) throw std::invalid_argument("cholesky_solve: M not square");
   if (m.rows() != b.rows()) throw std::invalid_argument("cholesky_solve: shape mismatch");
+  if (&x == &m || &x == &b || &l == &m || &l == &b || &x == &l) {
+    throw std::invalid_argument("cholesky_solve_into: workspace aliases an operand");
+  }
   const std::size_t n = m.rows();
 
-  Matrix l;
   double d = damping;
   bool ok = false;
+  l.ensure_shape(n, n);
   for (int attempt = 0; attempt < 8; ++attempt) {
-    l = m;
-    if (cholesky_factor(l, d)) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) l(j, i) = m(i, j);
+    }
+    if (cholesky_factor_upper(l, d)) {
       ok = true;
       break;
     }
@@ -217,33 +375,19 @@ Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping) {
   }
   if (!ok) throw std::runtime_error("cholesky_solve: matrix not positive definite");
 
-  // Solve L y = b (forward), then L^T x = y (backward). All right-hand-side
-  // columns are processed together, row by row: each elimination step is a
-  // contiguous axpy over an entire row, which streams instead of striding
-  // down a column per RHS.
-  Matrix x = b;
-  const std::size_t cols = b.cols();
+  // Mirror U = L^T into the lower triangle (see substitute_block), then
+  // solve L y = b and L^T x = y. Columns are independent, so ranges of them
+  // are solved on the compute pool.
   for (std::size_t i = 0; i < n; ++i) {
-    double* xi = x.data() + i * cols;
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = l(i, k);
-      const double* xk = x.data() + k * cols;
-      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lik * xk[c];
-    }
-    const double diag = l(i, i);
-    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+    for (std::size_t j = 0; j < i; ++j) l(i, j) = l(j, i);
   }
-  for (std::size_t i = n; i-- > 0;) {
-    double* xi = x.data() + i * cols;
-    for (std::size_t k = i + 1; k < n; ++k) {
-      const double lki = l(k, i);
-      const double* xk = x.data() + k * cols;
-      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lki * xk[c];
-    }
-    const double diag = l(i, i);
-    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
-  }
-  return x;
+  x.ensure_shape(b.rows(), b.cols());
+  std::copy(b.data(), b.data() + b.size(), x.data());
+  const std::size_t per_column = std::max<std::size_t>(1, n * n);
+  parallel_for_rows(b.cols(), (kMinMacsPerChunk + per_column - 1) / per_column,
+                    kSubstituteWidth, [&](std::size_t c0, std::size_t c1) {
+                      substitute_range(l, x, c0, c1);
+                    });
 }
 
 }  // namespace dosc::nn

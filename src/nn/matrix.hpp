@@ -78,6 +78,8 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b);
 /// C = A * B^T.
 Matrix matmul_nt(const Matrix& a, const Matrix& b);
 Matrix transpose(const Matrix& a);
+/// t = a^T into a caller-owned destination (t must not be a).
+void transpose_into(Matrix& t, const Matrix& a);
 
 /// Allocation-free GEMM destinations: c is reshaped (capacity permitting,
 /// without allocating) and overwritten. c must not alias a or b.
@@ -112,7 +114,14 @@ double dot(const Matrix& a, const Matrix& b) noexcept;
 
 /// Solve (M + damping * I) X = B for SPD M via Cholesky. M is copied; the
 /// damping is increased automatically (up to a limit) if factorisation
-/// fails. Throws std::runtime_error if M cannot be factorised at all.
+/// fails. Throws std::runtime_error if M cannot be factorised at all. The
+/// substitutions split B's columns across the compute pool; each column's
+/// arithmetic is the same for any thread count.
 Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping);
+/// As cholesky_solve, into caller-owned X, with `l` as the factor's
+/// workspace: allocation-free once both have capacity. Neither may alias M
+/// or B.
+void cholesky_solve_into(Matrix& x, Matrix& l, const Matrix& m, const Matrix& b,
+                         double damping);
 
 }  // namespace dosc::nn

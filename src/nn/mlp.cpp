@@ -7,6 +7,7 @@
 
 #include "nn/gemm.hpp"
 #include "nn/gemv.hpp"
+#include "nn/parallel.hpp"
 #include "nn/vecmath.hpp"
 
 namespace dosc::nn {
@@ -91,25 +92,47 @@ const Mlp::PackCache& Mlp::ensure_packed() const {
   return cache;
 }
 
-void Mlp::apply_activation(Matrix& m, Activation act) noexcept {
+void Mlp::apply_activation(double* v, std::size_t count, Activation act) noexcept {
   switch (act) {
     case Activation::kLinear: return;
     case Activation::kTanh:
-      vecmath::tanh_inplace(m.data(), m.size());
+      vecmath::tanh_inplace(v, count);
       return;
     case Activation::kRelu:
-      for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = std::max(0.0, m.data()[i]);
+      for (std::size_t i = 0; i < count; ++i) v[i] = std::max(0.0, v[i]);
       return;
   }
 }
+
+namespace {
+
+/// fn(begin, end) over element ranges of m made of whole rows, split across
+/// the compute pool. For per-element work (bias, activation and its
+/// derivative) the split changes no bits.
+template <typename Fn>
+void for_row_ranges(const Matrix& m, Fn&& fn) {
+  constexpr std::size_t kMinElementsPerChunk = 64 * 1024;
+  const std::size_t cols = std::max<std::size_t>(1, m.cols());
+  parallel_for_rows(m.rows(), std::max<std::size_t>(1, kMinElementsPerChunk / cols), 1,
+                    [&](std::size_t row0, std::size_t row1) { fn(row0 * cols, row1 * cols); });
+}
+
+}  // namespace
 
 const Matrix& Mlp::forward(const Matrix& x) {
   const Matrix* h = &x;
   for (DenseLayer& layer : layers_) {
     layer.input = *h;  // copy-assign reuses the cache's existing capacity
     matmul_into(layer.output, *h, layer.weights);
-    add_row_vector(layer.output, layer.bias);
-    apply_activation(layer.output, layer.activation);
+    double* out = layer.output.data();
+    const double* bias = layer.bias.data();
+    const std::size_t n_out = layer.fan_out();
+    for_row_ranges(layer.output, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; i += n_out) {
+        for (std::size_t j = 0; j < n_out; ++j) out[i + j] += bias[j];
+      }
+      apply_activation(out + begin, end - begin, layer.activation);
+    });
     h = &layer.output;
   }
   return layers_.back().output;
@@ -120,7 +143,7 @@ Matrix Mlp::predict(const Matrix& x) const {
   for (const DenseLayer& layer : layers_) {
     h = matmul(h, layer.weights);
     add_row_vector(h, layer.bias);
-    apply_activation(h, layer.activation);
+    apply_activation(h.data(), h.size(), layer.activation);
   }
   return h;
 }
@@ -226,18 +249,21 @@ const Matrix& Mlp::backward(const Matrix& grad_output) {
 
     // d(loss)/d(pre-activation), in place on the cached gradient.
     Matrix& grad = layer.grad_preact;
+    double* g = grad.data();
+    const double* y = layer.output.data();
     switch (layer.activation) {
       case Activation::kLinear: break;
       case Activation::kTanh:
-        for (std::size_t i = 0; i < grad.size(); ++i) {
-          const double y = layer.output.data()[i];
-          grad.data()[i] *= (1.0 - y * y);
-        }
+        for_row_ranges(grad, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) g[i] *= (1.0 - y[i] * y[i]);
+        });
         break;
       case Activation::kRelu:
-        for (std::size_t i = 0; i < grad.size(); ++i) {
-          if (layer.output.data()[i] <= 0.0) grad.data()[i] = 0.0;
-        }
+        for_row_ranges(grad, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            if (y[i] <= 0.0) g[i] = 0.0;
+          }
+        });
         break;
     }
 

@@ -133,7 +133,7 @@ class Mlp {
  private:
   struct PackCache;  // packed gemv weight panels (mutex + atomic valid flag)
 
-  static void apply_activation(Matrix& m, Activation act) noexcept;
+  static void apply_activation(double* v, std::size_t count, Activation act) noexcept;
   void invalidate_pack() noexcept;
   const PackCache& ensure_packed() const;
 

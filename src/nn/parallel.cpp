@@ -13,8 +13,6 @@ namespace dosc::nn {
 
 namespace {
 
-constexpr std::size_t kMaxComputeThreads = 256;
-
 std::size_t default_threads() {
   if (const char* env = std::getenv("DOSC_THREADS")) {
     char* end = nullptr;
@@ -81,6 +79,12 @@ class Pool {
     done_cv_.wait(lock, [&] {
       return pending_.load(std::memory_order_acquire) == 0 && running_helpers_ == 0;
     });
+    // Close the job to workers that wake only now. Admitted after this
+    // return, such a worker could fetch a ticket from the next job's reset
+    // counter and compare it against this job's chunk count (or the
+    // reverse), run a chunk twice and drive pending_ below zero, which
+    // deadlocks the next caller.
+    idle_helpers_ = 0;
     return true;
   }
 

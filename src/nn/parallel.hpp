@@ -1,5 +1,5 @@
-// Compute-thread budget and the row-partitioned fork/join helper behind the
-// GEMM kernels and KFAC's per-layer factor updates.
+// Compute-thread budget and the fork/join helpers behind the GEMM kernels
+// and K-FAC's Cholesky factorisations and solves.
 //
 // Determinism contract: the work inside each chunk never depends on which
 // thread runs it or in what order chunks complete, and the GEMM kernels
@@ -9,9 +9,9 @@
 //
 // The pool is a lazily started set of persistent workers shared process-wide.
 // A caller that cannot take the pool (it is busy with another caller, or the
-// caller *is* a pool worker — e.g. a threaded KFAC layer update invoking a
-// GEMM) runs its chunks inline on its own thread; nesting therefore cannot
-// deadlock and concurrent callers (shared const Mlp::predict) stay safe.
+// caller *is* a pool worker, i.e. a parallel region nested in another) runs
+// its chunks inline on its own thread; nesting therefore cannot deadlock and
+// concurrent callers (shared const Mlp::predict) stay safe.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +19,13 @@
 #include <utility>
 
 namespace dosc::nn {
+
+/// Upper bound of the compute-thread budget.
+inline constexpr std::size_t kMaxComputeThreads = 256;
+
+/// Kernels size their chunks so each holds at least ~256k multiply-adds:
+/// smaller products are not worth a fork/join and run on the calling thread.
+inline constexpr std::size_t kMinMacsPerChunk = 256 * 1024;
 
 /// Set the compute-thread budget for the GEMM kernels. `n == 0` restores the
 /// default: the value of the DOSC_THREADS environment variable if set, else

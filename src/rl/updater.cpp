@@ -63,6 +63,25 @@ std::unique_ptr<nn::Optimizer> Updater::make_optimizer(bool is_critic) const {
   throw std::logic_error("Updater: invalid optimizer kind");
 }
 
+namespace {
+
+/// opt.step(net). A K-FAC step (the damped natural-gradient solve) is timed
+/// as train.kfac_step_ms under the kfac_step trace scope.
+void step_optimizer(nn::Optimizer& opt, const nn::Kfac* kfac, nn::Mlp& net) {
+  if (kfac == nullptr) {
+    opt.step(net);
+    return;
+  }
+  DOSC_TRACE_SCOPE("train", "kfac_step");
+  const util::Timer timer;
+  opt.step(net);
+  if (telemetry::enabled()) {
+    telemetry::MetricsRegistry::global().observe("train.kfac_step_ms", timer.elapsed_millis());
+  }
+}
+
+}  // namespace
+
 double Updater::current_learning_rate() const noexcept {
   if (config_.lr_decay_updates == 0) return config_.learning_rate;
   const double frac = 1.0 - std::min(1.0, static_cast<double>(updates_) /
@@ -105,7 +124,7 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
                                                    kfac_timer.elapsed_millis());
     }
   }
-  critic_opt_->step(critic);
+  step_optimizer(*critic_opt_, critic_kfac_, critic);
 
   // ---- advantage normalisation ----
   double adv_mean = 0.0;
@@ -170,7 +189,7 @@ UpdateStats Updater::update(ActorCritic& net, const Batch& batch) {
                                                    kfac_timer.elapsed_millis());
     }
   }
-  actor_opt_->step(actor);
+  step_optimizer(*actor_opt_, actor_kfac_, actor);
 
   ++updates_;
   return stats;

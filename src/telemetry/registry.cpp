@@ -96,9 +96,12 @@ util::Json MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& entry : counters_) entry.second->reset();
+  for (auto& entry : gauges_) entry.second->set(0.0);
+  for (auto& entry : histograms_) {
+    std::lock_guard<std::mutex> hist_lock(entry.second->mutex);
+    entry.second->hist.reset();
+  }
 }
 
 MetricsRegistry& MetricsRegistry::global() {

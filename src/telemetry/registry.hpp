@@ -67,7 +67,9 @@ class MetricsRegistry {
   /// snapshot-file schema wrapped around this.
   util::Json snapshot() const;
 
-  /// Drop every metric (tests and per-run isolation in benches).
+  /// Zero every metric in place (tests and per-run isolation in benches).
+  /// Entries are never destroyed, so references handed out earlier, which
+  /// hot paths cache in function-local statics, stay valid.
   void clear();
 
   static MetricsRegistry& global();

@@ -93,28 +93,69 @@ TEST(Gemm, ThreadCountInvariance) {
 
 TEST(Gemm, GramMatchesFullTransposeProduct) {
   util::Rng rng(44);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes = {{257, 2500}};
   for (std::size_t m : {1u, 5u, 8u, 13u, 33u, 64u}) {
-    for (std::size_t k : {1u, 7u, 32u, 101u}) {
+    for (std::size_t k : {1u, 7u, 32u, 101u}) shapes.emplace_back(m, k);
+  }
+  for (const auto& [m, k] : shapes) {
+    const Matrix a = random_matrix(k, m, rng);
+    Matrix c(m, m);
+    gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
+    // Full triangle (mirror included) must be bit-identical to the
+    // unrestricted A^T A.
+    EXPECT_EQ(mismatches(c, matmul_tn(a, a)), 0u) << "gram " << m << "x" << k;
+  }
+}
+
+// The tn/gram path packs A^T in blocks of kTnBlockK k-steps and carries the
+// partial sums between blocks: probe both sides of every block edge, with
+// row counts off the 4-row tile and wide enough for several row and column
+// blocks.
+const std::size_t kBlockEdgeKs[] = {gemm::kTnBlockK - 1, gemm::kTnBlockK, gemm::kTnBlockK + 1,
+                                    2 * gemm::kTnBlockK + 3, 2500};
+
+TEST(Gemm, TnAndGramMatchReferenceAcrossKBlocks) {
+  util::Rng rng(49);
+  const std::pair<std::size_t, std::size_t> shapes[] = {{7, 9}, {67, 45}, {130, 261}};
+  for (const std::size_t k : kBlockEdgeKs) {
+    for (const auto& [m, n] : shapes) {
       const Matrix a = random_matrix(k, m, rng);
-      Matrix c(m, m);
-      gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
-      // Full triangle (mirror included) must be bit-identical to the
-      // unrestricted A^T A.
-      EXPECT_EQ(mismatches(c, matmul_tn(a, a)), 0u) << "gram " << m << "x" << k;
+      const Matrix b = random_matrix(k, n, rng);
+      const Matrix expected = matmul_tn_reference(a, b);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+        ComputeThreadsGuard guard(threads);
+        EXPECT_EQ(mismatches(matmul_tn(a, b), expected), 0u)
+            << "tn " << m << "x" << n << "x" << k << " threads " << threads;
+      }
+    }
+    for (const std::size_t m : {7u, 69u, 257u}) {
+      const Matrix a = random_matrix(k, m, rng);
+      const Matrix expected = matmul_tn_reference(a, a);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+        ComputeThreadsGuard guard(threads);
+        Matrix c(m, m);
+        gemm::gram(m, k, a.data(), a.cols(), c.data(), c.cols());
+        EXPECT_EQ(mismatches(c, expected), 0u)
+            << "gram " << m << "x" << k << " threads " << threads;
+      }
     }
   }
 }
 
 TEST(Gemm, AccumulateEqualsProductPlusAddition) {
   util::Rng rng(45);
-  const Matrix a = random_matrix(29, 11, rng);
-  const Matrix b = random_matrix(29, 19, rng);
-  Matrix c = random_matrix(11, 19, rng);
-  Matrix expected = c;
-  const Matrix product = matmul_tn(a, b);
-  for (std::size_t i = 0; i < expected.size(); ++i) expected.data()[i] += product.data()[i];
-  matmul_tn_acc(c, a, b);
-  EXPECT_EQ(mismatches(c, expected), 0u);
+  // One k-block, and several (the product is still added to C once, after
+  // its last block).
+  for (const std::size_t k : {std::size_t{29}, 2 * gemm::kTnBlockK + 3}) {
+    const Matrix a = random_matrix(k, 11, rng);
+    const Matrix b = random_matrix(k, 19, rng);
+    Matrix c = random_matrix(11, 19, rng);
+    Matrix expected = c;
+    const Matrix product = matmul_tn(a, b);
+    for (std::size_t i = 0; i < expected.size(); ++i) expected.data()[i] += product.data()[i];
+    matmul_tn_acc(c, a, b);
+    EXPECT_EQ(mismatches(c, expected), 0u) << "k " << k;
+  }
 }
 
 TEST(Gemm, IntoReusesDestinationAcrossShapes) {
@@ -166,6 +207,25 @@ TEST(Parallel, ChunksCoverEveryIndexExactlyOnce) {
     parallel_chunks(n, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << "n=" << n;
   }
+}
+
+TEST(Parallel, BackToBackTinyJobsRunEveryChunkOnce) {
+  // Tiny jobs finish before some workers wake up. A worker that woke late
+  // used to be admitted to the finished job, take a ticket of the next job
+  // and run a chunk twice; the next caller then waited forever on a
+  // pending-chunk count driven below zero. (Here that showed as a hang in
+  // about one run in three of 250k jobs.)
+  ComputeThreadsGuard guard(4);
+  std::vector<std::atomic<int>> hits(64);
+  std::size_t wrong = 0;
+  for (int round = 0; round < 20000; ++round) {
+    for (const std::size_t n : {1u, 3u, 7u, 2u, 64u}) {
+      for (std::size_t i = 0; i < n; ++i) hits[i].store(0);
+      parallel_chunks(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) wrong += hits[i].load() != 1;
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(Parallel, ForRowsPartitionIsAlignedAndComplete) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
@@ -149,6 +151,149 @@ TEST(Cholesky, MultipleRightHandSides) {
   for (std::size_t i = 0; i < back.size(); ++i) {
     EXPECT_NEAR(back.data()[i], b.data()[i], 1e-10);
   }
+}
+
+// ---- bit-identity against the textbook factor and solve ----------------
+//
+// A verbatim copy of the solver as it first shipped: left-looking Cholesky
+// (each L(i, j) one dot-product chain) and row-by-row substitution over all
+// right-hand sides at once. cholesky_solve reorders the work (right-looking
+// panels, column blocks, the compute pool) but never an element's chain of
+// operations, so it must match this bit for bit.
+
+bool textbook_factor(Matrix& m, double damping) {
+  const std::size_t n = m.rows();
+  for (std::size_t i = 0; i < n; ++i) m(i, i) += damping;
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = m(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= m(j, k) * m(j, k);
+    if (diag <= 0.0) return false;
+    const double ljj = std::sqrt(diag);
+    m(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double v = m(i, j);
+      for (std::size_t k = 0; k < j; ++k) v -= m(i, k) * m(j, k);
+      m(i, j) = v / ljj;
+    }
+  }
+  return true;
+}
+
+/// The textbook solve; `attempts` reports how many factorisations it took.
+Matrix textbook_solve(const Matrix& m, const Matrix& b, double damping, int& attempts) {
+  const std::size_t n = m.rows();
+  Matrix l;
+  double d = damping;
+  bool ok = false;
+  for (attempts = 1; attempts <= 8; ++attempts) {
+    l = m;
+    if (textbook_factor(l, d)) {
+      ok = true;
+      break;
+    }
+    d = (d == 0.0) ? 1e-8 : d * 10.0;
+  }
+  if (!ok) throw std::runtime_error("textbook_solve: not positive definite");
+  Matrix x = b;
+  const std::size_t cols = b.cols();
+  for (std::size_t i = 0; i < n; ++i) {
+    double* xi = x.data() + i * cols;
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lik = l(i, k);
+      const double* xk = x.data() + k * cols;
+      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lik * xk[c];
+    }
+    const double diag = l(i, i);
+    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    double* xi = x.data() + i * cols;
+    for (std::size_t k = i + 1; k < n; ++k) {
+      const double lki = l(k, i);
+      const double* xk = x.data() + k * cols;
+      for (std::size_t c = 0; c < cols; ++c) xi[c] -= lki * xk[c];
+    }
+    const double diag = l(i, i);
+    for (std::size_t c = 0; c < cols; ++c) xi[c] /= diag;
+  }
+  return x;
+}
+
+std::size_t bit_mismatches(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return a.size() + b.size() + 1;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a.data()[i], &b.data()[i], sizeof(double)) != 0) ++bad;
+  }
+  return bad;
+}
+
+Matrix random_normal(std::size_t r, std::size_t c, util::Rng& rng) {
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = rng.normal(0.0, 1.0);
+  return m;
+}
+
+TEST(Cholesky, BitIdenticalToTextbookSolve) {
+  util::Rng rng(17);
+  const std::size_t n = 257;
+  // A well-conditioned SPD matrix (Gram of a tall random matrix, as K-FAC's
+  // factors are), solved in one attempt...
+  const Matrix x_tall = random_normal(600, n, rng);
+  const Matrix spd = matmul_tn(x_tall, x_tall);
+  // ...and an indefinite one (rank 100 minus 1e-4 I): the factorisation
+  // fails until the damping has grown past 1e-4.
+  const Matrix x_wide = random_normal(100, n, rng);
+  Matrix indefinite = matmul_tn(x_wide, x_wide);
+  for (std::size_t i = 0; i < n; ++i) indefinite(i, i) -= 1e-4;
+
+  for (const std::size_t rhs : {1u, 5u, 256u}) {
+    const Matrix b = random_normal(n, rhs, rng);
+    int attempts = 0;
+    const Matrix expected_spd = textbook_solve(spd, b, 0.01, attempts);
+    EXPECT_EQ(attempts, 1);
+    const Matrix expected_retry = textbook_solve(indefinite, b, 0.0, attempts);
+    EXPECT_GT(attempts, 2) << "the damping-retry path was not exercised";
+    for (const std::size_t threads : {1u, 4u}) {
+      ComputeThreadsGuard guard(threads);
+      EXPECT_EQ(bit_mismatches(cholesky_solve(spd, b, 0.01), expected_spd), 0u)
+          << rhs << " rhs, " << threads << " threads";
+      EXPECT_EQ(bit_mismatches(cholesky_solve(indefinite, b, 0.0), expected_retry), 0u)
+          << rhs << " rhs (damping retry), " << threads << " threads";
+    }
+  }
+}
+
+TEST(Cholesky, LargeSystemBitIdenticalToTextbookSolve) {
+  // Past 1024 unknowns the column blocks are solved in place rather than in
+  // a stack copy, with leftover columns one at a time.
+  util::Rng rng(19);
+  const std::size_t n = 1030;
+  Matrix m = random_normal(n, n, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) m(i, j) = m(j, i) = 0.01 * m(i, j);
+    m(i, i) = 2.0 + std::abs(m(i, i));
+  }
+  const Matrix b = random_normal(n, 9, rng);
+  int attempts = 0;
+  const Matrix expected = textbook_solve(m, b, 0.0, attempts);
+  ComputeThreadsGuard guard(2);
+  EXPECT_EQ(bit_mismatches(cholesky_solve(m, b, 0.0), expected), 0u);
+}
+
+TEST(Cholesky, SolveIntoReusesWorkspaces) {
+  util::Rng rng(18);
+  const Matrix x_tall = random_normal(40, 9, rng);
+  const Matrix m = matmul_tn(x_tall, x_tall);
+  Matrix x;
+  Matrix l;
+  for (const std::size_t rhs : {3u, 11u, 3u}) {
+    const Matrix b = random_normal(9, rhs, rng);
+    cholesky_solve_into(x, l, m, b, 0.1);
+    EXPECT_EQ(bit_mismatches(x, cholesky_solve(m, b, 0.1)), 0u) << rhs << " rhs";
+  }
+  const Matrix b = random_normal(9, 2, rng);
+  EXPECT_THROW(cholesky_solve_into(l, l, m, b, 0.1), std::invalid_argument);
 }
 
 }  // namespace

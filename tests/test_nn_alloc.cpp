@@ -1,11 +1,14 @@
 // Allocation accounting for the training hot path.
 //
 // The zero-allocation contract: after one warm-up pass has sized every
-// workspace (layer caches, gradient buffers, per-thread GEMM panels, the
-// thread pool itself), repeated Mlp::forward/backward at a steady batch
-// shape perform NO heap allocation. This binary replaces the global
-// operator new/delete with counting versions and asserts the count stays
-// flat across the steady-state region — on any thread count.
+// workspace (layer caches, gradient buffers, K-FAC factors and solve
+// workspaces, the thread pool itself), repeated Mlp::forward/backward and
+// whole ACKTR updates at a steady batch shape perform NO heap allocation.
+// The GEMM kernels' per-thread panels are fixed-size thread_local storage,
+// so it does not matter which pool worker claims which chunk. This binary
+// replaces the global operator new/delete with counting versions and
+// asserts the count stays flat across the steady-state region — on any
+// thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +17,9 @@
 
 #include "nn/mlp.hpp"
 #include "nn/parallel.hpp"
+#include "rl/actor_critic.hpp"
+#include "rl/rollout.hpp"
+#include "rl/updater.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -55,10 +61,8 @@ Matrix random_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
 }
 
 /// Allocations observed during `iterations` forward/backward passes at
-/// steady state, under the given compute-thread budget. Warm-up runs until a
-/// full pass allocates nothing (pool chunk assignment is a dynamic ticket
-/// race, so a cold worker may first touch its thread_local GEMM panel a few
-/// passes in); a pass that never stabilises shows up as a nonzero result.
+/// steady state (after one warm-up pass), under the given compute-thread
+/// budget.
 std::uint64_t steady_state_allocs(std::size_t threads, std::size_t iterations) {
   ComputeThreadsGuard guard(threads);
   util::Rng rng(123);
@@ -66,24 +70,41 @@ std::uint64_t steady_state_allocs(std::size_t threads, std::size_t iterations) {
   const Matrix x = random_matrix(64, 20, rng);
   const Matrix g = random_matrix(64, 5, rng);
   net.zero_grad();
-  for (int round = 0; round < 50; ++round) {
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  net.forward(x);
+  net.backward(g);
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < iterations; ++i) {
     net.forward(x);
     net.backward(g);
-    if (g_news.load(std::memory_order_relaxed) == before) break;
   }
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < iterations; ++i) {
-      net.forward(x);
-      net.backward(g);
-    }
-    const std::uint64_t allocs = g_news.load(std::memory_order_relaxed) - before;
-    // A single retry absorbs the (rare) case of a pool worker warming its
-    // buffers for the first time inside the measured region.
-    if (allocs == 0 || attempt == 1) return allocs;
+  return g_news.load(std::memory_order_relaxed) - before;
+}
+
+/// Allocations observed during `iterations` full ACKTR updates (critic and
+/// actor forward/backward, K-FAC factors and step) of the paper's 2x256
+/// actor-critic, after one warm-up update, under the given budget. The
+/// batch is large enough that the factor Gram products, the Cholesky
+/// factorisations and the substitutions all split across the pool.
+std::uint64_t acktr_update_allocs(std::size_t threads, std::size_t iterations) {
+  ComputeThreadsGuard guard(threads);
+  util::Rng rng(321);
+  rl::ActorCriticConfig config;
+  config.obs_dim = 20;
+  config.num_actions = 5;
+  config.seed = 4;
+  rl::ActorCritic net(config);
+  rl::Updater updater(rl::UpdaterConfig{});  // ACKTR by default
+  const std::size_t rows = 300;
+  rl::Batch batch;
+  batch.obs = random_matrix(rows, config.obs_dim, rng);
+  for (std::size_t i = 0; i < rows; ++i) {
+    batch.actions.push_back(static_cast<int>(i % config.num_actions));
+    batch.returns.push_back(rng.normal(0.0, 1.0));
   }
-  return 0;
+  updater.update(net, batch);
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < iterations; ++i) updater.update(net, batch);
+  return g_news.load(std::memory_order_relaxed) - before;
 }
 
 TEST(NnAlloc, CountingAllocatorSeesAllocations) {
@@ -100,10 +121,18 @@ TEST(NnAlloc, ForwardBackwardSteadyStateIsAllocationFree) {
 }
 
 TEST(NnAlloc, ForwardBackwardSteadyStateIsAllocationFreeMultiThread) {
-  // Pool threads, their thread_local panel buffers, and the run bookkeeping
-  // all warm up in the first passes; after that the parallel path must be
-  // just as allocation-free as the serial one.
+  // Pool threads and the run bookkeeping warm up in the first pass; after
+  // that the parallel path must be just as allocation-free as the serial
+  // one.
   EXPECT_EQ(steady_state_allocs(/*threads=*/4, /*iterations=*/10), 0u);
+}
+
+TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFree) {
+  EXPECT_EQ(acktr_update_allocs(/*threads=*/1, /*iterations=*/2), 0u);
+}
+
+TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFreeMultiThread) {
+  EXPECT_EQ(acktr_update_allocs(/*threads=*/4, /*iterations=*/2), 0u);
 }
 
 TEST(NnAlloc, ReshapeAllocatesOnlyWhenGrowing) {

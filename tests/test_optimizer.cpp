@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "nn/kfac.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace dosc::nn {
@@ -123,6 +125,39 @@ TEST(Kfac, TrustRegionBoundsParameterChange) {
     change += (after[i] - before[i]) * (after[i] - before[i]);
   }
   EXPECT_LT(std::sqrt(change), 1.0);
+}
+
+/// Parameters after a few K-FAC updates of the paper-sized 2x256 net under
+/// the given compute-thread budget.
+std::vector<double> kfac_parameters_after_updates(std::size_t threads) {
+  ComputeThreadsGuard guard(threads);
+  util::Rng rng(31);
+  Mlp net({20, 256, 256, 5}, Activation::kTanh, Activation::kLinear, 5);
+  Kfac kfac;
+  const std::size_t batch = 300;
+  for (int update = 0; update < 3; ++update) {
+    Matrix x(batch, 20);
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.normal(0.0, 1.0);
+    Matrix g(batch, 5);
+    for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = rng.normal(0.0, 1.0) / batch;
+    net.zero_grad();
+    net.forward(x);
+    net.backward(g);
+    kfac.update_factors(net);
+    kfac.step(net);
+  }
+  return net.get_parameters();
+}
+
+TEST(Kfac, ParametersBitIdenticalAcrossThreadCounts) {
+  const std::vector<double> one = kfac_parameters_after_updates(1);
+  const std::vector<double> four = kfac_parameters_after_updates(4);
+  ASSERT_EQ(one.size(), four.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    if (std::memcmp(&one[i], &four[i], sizeof(double)) != 0) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Optimizer, LearningRateSetter) {

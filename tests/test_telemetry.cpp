@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "nn/matrix.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -226,6 +227,23 @@ TEST(Registry, CountersAndGauges) {
   EXPECT_DOUBLE_EQ(registry.gauge("g").value(), 1.5);
   registry.clear();
   EXPECT_EQ(registry.counter("a").value(), 0u);
+}
+
+TEST(Registry, ClearKeepsCachedReferencesValid) {
+  // The GEMM kernels cache their registry counters in function-local
+  // statics; clear() must zero those entries, not destroy them.
+  MetricsRegistry& registry = MetricsRegistry::global();
+  set_enabled(true);
+  const nn::Matrix a(8, 6, 1.0);
+  const nn::Matrix b(6, 4, 2.0);
+  (void)nn::matmul(a, b);  // binds the cached references
+  registry.clear();
+  EXPECT_EQ(registry.counter("nn.gemm.calls").value(), 0u);
+  (void)nn::matmul(a, b);
+  set_enabled(false);
+  EXPECT_EQ(registry.counter("nn.gemm.calls").value(), 1u);
+  EXPECT_EQ(registry.counter("nn.gemm.flops").value(), 2u * 8 * 4 * 6);
+  registry.clear();
 }
 
 TEST(Registry, ConcurrentCountersAreExact) {
