@@ -10,6 +10,13 @@
 //    cost grows with the network size.
 //  * BM_HeuristicDecision: GCASP-style neighbour scan, for reference.
 //  * BM_ShortestPathDecision: SP's next-hop choice, for reference.
+//  * BM_BatchedForward: one Mlp::predict_batch of the 2x256 actor (Abilene
+//    observation size) per batch size and compute-thread count, as rows/s
+//    plus the share of pool chunks run by helper threads.
+//  * BM_PoolSpacedJobs: a caller alternating serial work of about 0.5, 1
+//    or 2 spin windows with a forward-sized pool job (four ~20 us chunks),
+//    as the time of each: shows what spinning helpers cost the caller's
+//    serial work, and what parked helpers cost the next job.
 //
 // Besides google-benchmark's mean, each family records per-decision wall
 // clock into a telemetry histogram and reports p50_us/p99_us counters; the
@@ -18,6 +25,7 @@
 // reads entirely — the loop bodies are then identical to the untimed ones.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -25,6 +33,7 @@
 
 #include "core/observation.hpp"
 #include "net/topology_zoo.hpp"
+#include "nn/parallel.hpp"
 #include "rl/actor_critic.hpp"
 #include "telemetry/histogram.hpp"
 #include "util/json.hpp"
@@ -226,6 +235,84 @@ static void BM_ShortestPathDecision(benchmark::State& state) {
   report(state, "SP", static_cast<int>(state.range(0)), hist);
 }
 BENCHMARK(BM_ShortestPathDecision)->DenseRange(0, 3);
+
+static void BM_BatchedForward(benchmark::State& state) {
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  const nn::ComputeThreadsGuard guard(static_cast<std::size_t>(state.range(1)));
+  const std::size_t degree = topology(0).max_degree();
+  const std::size_t obs_dim = core::observation_dim(degree);
+  const rl::ActorCritic policy = make_policy(obs_dim, degree + 1);
+  util::Rng rng(2);
+  std::vector<double> obs(batch * obs_dim);
+  for (double& v : obs) v = rng.uniform(0.0, 1.0);
+  nn::Mlp::BatchScratch scratch;
+  std::vector<double> logits;
+  policy.actor().predict_batch(obs.data(), batch, logits, scratch);  // warm-up
+  const nn::PoolStats before = nn::pool_stats();
+  for (auto _ : state) {
+    policy.actor().predict_batch(obs.data(), batch, logits, scratch);
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  const nn::PoolStats after = nn::pool_stats();
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(batch * state.iterations()), benchmark::Counter::kIsRate);
+  const std::uint64_t chunks = after.chunks - before.chunks;
+  state.counters["helper_share"] =
+      chunks == 0 ? 0.0
+                  : static_cast<double>(after.helper_chunks - before.helper_chunks) /
+                        static_cast<double>(chunks);
+}
+BENCHMARK(BM_BatchedForward)->ArgsProduct({{4, 16, 32}, {1, 2, 4}})->UseRealTime();
+
+namespace {
+
+/// A fixed amount of serial arithmetic: `units` dependent multiply-adds.
+double serial_work(std::size_t units, double seed) {
+  double x = seed;
+  for (std::size_t i = 0; i < units; ++i) x = x * 0.999999 + 1e-7;
+  return x;
+}
+
+/// Work units per microsecond, measured once on this host so the spaced
+/// gaps land near their nominal fractions of the spin window.
+std::size_t units_per_us() {
+  static const std::size_t rate = [] {
+    const std::size_t units = 1 << 22;
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(serial_work(units, 1.0));
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0).count();
+    return std::max<std::size_t>(1, static_cast<std::size_t>(units / std::max(us, 1.0)));
+  }();
+  return rate;
+}
+
+}  // namespace
+
+static void BM_PoolSpacedJobs(benchmark::State& state) {
+  const nn::ComputeThreadsGuard guard(4);
+  const std::size_t gap_units = units_per_us() * static_cast<std::size_t>(state.range(0));
+  const std::size_t chunk_units = units_per_us() * 20;
+  double sink[4] = {};
+  double serial_s = 0.0;
+  double job_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(serial_work(gap_units, sink[0]));
+    const auto t1 = std::chrono::steady_clock::now();
+    nn::parallel_chunks(4, [&](std::size_t i) { sink[i] = serial_work(chunk_units, sink[i]); });
+    const auto t2 = std::chrono::steady_clock::now();
+    serial_s += std::chrono::duration<double>(t1 - t0).count();
+    job_s += std::chrono::duration<double>(t2 - t1).count();
+  }
+  benchmark::DoNotOptimize(sink);
+  const double n = static_cast<double>(state.iterations());
+  state.counters["serial_us"] = serial_s / n * 1e6;
+  state.counters["job_us"] = job_s / n * 1e6;
+}
+// Nominal gaps of 0.5, 1 and 2 spin windows (1 ms each).
+BENCHMARK(BM_PoolSpacedJobs)->Arg(500)->Arg(1000)->Arg(2000)->UseRealTime();
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);

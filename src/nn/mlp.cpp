@@ -177,38 +177,72 @@ void Mlp::predict_batch(const double* input, std::size_t batch, std::vector<doub
     return;
   }
   const PackCache& cache = ensure_packed();
-  const double* cur = input;
-  for (std::size_t li = 0; li < layers_.size(); ++li) {
-    const DenseLayer& layer = layers_[li];
-    const std::size_t in = layer.fan_in();
-    const std::size_t n_out = layer.fan_out();
-    double* dst;
-    if (li + 1 == layers_.size()) {
-      out.resize(batch * n_out);
-      dst = out.data();
-    } else {
-      std::vector<double>& buf = (li % 2 == 0) ? scratch.a : scratch.b;
-      if (buf.size() < batch * n_out) buf.resize(batch * n_out);
-      dst = buf.data();
-    }
-    gemm::nn_packed(batch, n_out, in, cur, in, cache.gemm_slabs[li].data(), dst, n_out,
-                    /*accumulate=*/false);
-    const double* bias = layer.bias.data();
-    for (std::size_t r = 0; r < batch; ++r) {
-      double* row = dst + r * n_out;
-      for (std::size_t j = 0; j < n_out; ++j) row[j] += bias[j];
-    }
-    switch (layer.activation) {
-      case Activation::kLinear: break;
-      case Activation::kTanh:
-        vecmath::tanh_inplace(dst, batch * n_out);
-        break;
-      case Activation::kRelu:
-        for (std::size_t i = 0; i < batch * n_out; ++i) dst[i] = std::max(0.0, dst[i]);
-        break;
-    }
-    cur = dst;
+  // Layer li writes row r at dst[li] + r * ld[li]: hidden layers alternate
+  // between the two scratch blocks, each with the row stride of its widest
+  // layer, and the last layer writes `out`. Everything is sized here,
+  // before the fork, so every chunk works in its own rows and none
+  // allocates.
+  const std::size_t last = layers_.size() - 1;
+  std::size_t stride[2] = {0, 0};
+  std::size_t row_macs = 0;
+  for (std::size_t li = 0; li <= last; ++li) {
+    if (li < last) stride[li % 2] = std::max(stride[li % 2], layers_[li].fan_out());
+    row_macs += layers_[li].fan_in() * layers_[li].fan_out();
   }
+  if (scratch.a.size() < batch * stride[0]) scratch.a.resize(batch * stride[0]);
+  if (scratch.b.size() < batch * stride[1]) scratch.b.resize(batch * stride[1]);
+  out.resize(batch * output_size());
+  const auto dst = [&](std::size_t li) {
+    return li == last ? out.data() : (li % 2 == 0 ? scratch.a.data() : scratch.b.data());
+  };
+  const auto ld = [&](std::size_t li) { return li == last ? output_size() : stride[li % 2]; };
+
+  // Whole register tiles go through the GEMM over the packed slabs with the
+  // operation order of predict() (matmul, bias row add, activation); the
+  // batch's 1-3 trailing rows take the packed GEMV, which beats the GEMM's
+  // partial-tile edge and is bit-identical per row.
+  const auto forward_rows = [&](std::size_t row0, std::size_t row1) {
+    const std::size_t tile_end = row0 + (row1 - row0) / kTileRows * kTileRows;
+    if (tile_end > row0) {
+      const std::size_t rows = tile_end - row0;
+      const double* cur = input + row0 * input_size();
+      std::size_t ld_cur = input_size();
+      for (std::size_t li = 0; li <= last; ++li) {
+        const DenseLayer& layer = layers_[li];
+        const std::size_t n_out = layer.fan_out();
+        double* c = dst(li) + row0 * ld(li);
+        gemm::nn_packed(rows, n_out, layer.fan_in(), cur, ld_cur, cache.gemm_slabs[li].data(),
+                        c, ld(li), /*accumulate=*/false);
+        const double* bias = layer.bias.data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          double* row = c + r * ld(li);
+          for (std::size_t j = 0; j < n_out; ++j) row[j] += bias[j];
+          apply_activation(row, n_out, layer.activation);
+        }
+        cur = c;
+        ld_cur = ld(li);
+      }
+    }
+    for (std::size_t r = tile_end; r < row1; ++r) {
+      const double* cur = input + r * input_size();
+      for (std::size_t li = 0; li <= last; ++li) {
+        const DenseLayer& layer = layers_[li];
+        double* y = dst(li) + r * ld(li);
+        gemv::bias_act(layer.fan_in(), layer.fan_out(), cur, cache.panels[li].data(),
+                       layer.bias.data(), static_cast<int>(layer.activation), y);
+        cur = y;
+      }
+    }
+  };
+
+  // One fork per forward: each chunk runs every layer on its own rows, so
+  // the whole network, not just its widest product, splits across the
+  // pool. Chunk starts stay tile-aligned, so only the last chunk can hold
+  // GEMV rows; the GEMM calls inside a chunk nest in this region and run
+  // inline.
+  const std::size_t min_rows =
+      (kMinMacsPerChunk + row_macs - 1) / std::max<std::size_t>(1, row_macs);
+  parallel_for_rows(batch, std::max(min_rows, kTileRows), kTileRows, forward_rows);
 }
 
 void Mlp::predict_row_legacy(std::span<const double> input, std::vector<double>& out,

@@ -79,20 +79,25 @@ class Mlp {
   void predict_row(std::span<const double> input, std::vector<double>& out,
                    Scratch& scratch) const;
 
-  /// Small-batch inference forward for the serving path: `input` is a
+  /// Batched inference forward for serving and rollout: `input` is a
   /// row-major [batch x input_size] block, `out` is resized to
-  /// batch * output_size (row-major). Routed through the tiled gemm kernels
-  /// over pre-packed per-layer weight slabs (repacked lazily after any
-  /// weight mutation, alongside the gemv panels) with the exact operation
-  /// order of predict() (matmul → bias row add → activation), so each output
-  /// row is bit-identical to predict() — and therefore to predict_row() — at
-  /// the dispatched ISA level. Alloc-free at a steady batch shape with a
-  /// caller-reused scratch. Thread-safe on a const Mlp (per-caller scratch,
-  /// one-time internal repack under a mutex).
+  /// batch * output_size (row-major). Whole kTileRows-row tiles run through
+  /// the tiled gemm kernels over pre-packed per-layer weight slabs with the
+  /// exact operation order of predict() (matmul → bias row add →
+  /// activation); the batch's last batch % kTileRows rows run through the
+  /// packed gemv path. Both are bit-identical per row to predict() — and
+  /// therefore to predict_row() — at the dispatched ISA level, so this is
+  /// the one batch-dispatch rule for every caller, batch 1 included. Rows
+  /// split across the compute pool with one fork per forward: each chunk
+  /// runs every layer on its own rows. Alloc-free at a steady batch shape
+  /// with a caller-reused scratch. Thread-safe on a const Mlp (per-caller
+  /// scratch, one-time internal repack under a mutex).
   struct BatchScratch {
     std::vector<double> a;
     std::vector<double> b;
   };
+  /// Register-tile height of the gemm kernels (nn/gemm_kernels.inc kMr).
+  static constexpr std::size_t kTileRows = 4;
   void predict_batch(const double* input, std::size_t batch, std::vector<double>& out,
                      BatchScratch& scratch) const;
 

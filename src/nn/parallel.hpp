@@ -1,5 +1,5 @@
-// Compute-thread budget and the fork/join helpers behind the GEMM kernels
-// and K-FAC's Cholesky factorisations and solves.
+// Compute-thread budget and the fork/join helpers behind the GEMM kernels,
+// the batched MLP forward and K-FAC's Cholesky factorisations and solves.
 //
 // Determinism contract: the work inside each chunk never depends on which
 // thread runs it or in what order chunks complete, and the GEMM kernels
@@ -9,13 +9,24 @@
 //
 // The pool is a lazily started set of persistent workers shared process-wide.
 // A caller that cannot take the pool (it is busy with another caller, or the
-// caller *is* a pool worker, i.e. a parallel region nested in another) runs
-// its chunks inline on its own thread; nesting therefore cannot deadlock and
-// concurrent callers (shared const Mlp::predict) stay safe.
+// caller is already inside a parallel region: a pool worker, or the caller
+// running a chunk of its own job) runs its chunks inline on its own thread;
+// nesting therefore cannot deadlock and concurrent callers (shared const
+// Mlp::predict) stay safe.
+//
+// Idle threads wait spin-then-park (DESIGN.md section 14): they spin, with a
+// yield between short pause bursts, for kSpinWindow, then block on the
+// pool's generation word with std::atomic::wait. Helpers that are still
+// spinning when the next job arrives join it from their own CPUs; a helper
+// woken from a sleep is placed by the scheduler, and on small virtual
+// machines that is usually the waker's own CPU.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <utility>
 
 namespace dosc::nn {
@@ -54,9 +65,52 @@ class ComputeThreadsGuard {
   std::size_t previous_;
 };
 
+/// Always-on totals of the compute pool (relaxed atomics), mirrored into
+/// the telemetry registry counters `nn.pool.jobs`, `nn.pool.chunks`,
+/// `nn.pool.helper_chunks` and `nn.pool.parks` when telemetry is enabled.
+/// Only jobs that ran on the pool count; inline fallbacks do not.
+/// helper_chunks / chunks is the share of pool work that helper threads
+/// claimed. It says who ran the chunks, not where: helpers stacked on the
+/// caller's CPU also claim chunks, and then run them one after another.
+struct PoolStats {
+  std::uint64_t jobs = 0;           ///< jobs forked onto the pool
+  std::uint64_t chunks = 0;         ///< chunks of those jobs
+  std::uint64_t helper_chunks = 0;  ///< chunks run by pool workers
+  std::uint64_t parks = 0;          ///< waits that outlasted the spin window
+};
+PoolStats pool_stats() noexcept;
+
 namespace detail {
 
 using ChunkFn = void (*)(void* ctx, std::size_t chunk_index);
+
+/// How long an idle pool thread spins before it parks. Jobs spaced closer
+/// than this find their helpers awake on their own CPUs. A constant, not a
+/// knob: the value is the measured trade-off of DESIGN.md section 14.
+inline constexpr std::chrono::microseconds kSpinWindow{1000};
+
+/// A fork/join pool of persistent workers; run_chunks uses one process-wide
+/// instance. Tests build private instances to exercise start-up and
+/// shutdown.
+class Pool {
+ public:
+  Pool();
+  /// Stops and joins every worker, whether spinning or parked.
+  ~Pool();
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
+  /// Run fn(ctx, i) for i in [0, num_chunks) on the calling thread plus up
+  /// to budget - 1 workers, and return once every chunk has finished.
+  /// Returns false without running anything when another caller holds the
+  /// pool; the caller then runs the chunks inline. num_chunks and budget
+  /// must be at least 1.
+  bool try_run(std::size_t num_chunks, ChunkFn fn, void* ctx, std::size_t budget);
+
+ private:
+  struct State;
+  std::unique_ptr<State> state_;
+};
 
 /// Run fn(ctx, i) for i in [0, num_chunks) across the pool (caller
 /// participates) and block until all chunks finish. Falls back to an inline
@@ -64,7 +118,9 @@ using ChunkFn = void (*)(void* ctx, std::size_t chunk_index);
 /// has warmed up.
 void run_chunks(std::size_t num_chunks, ChunkFn fn, void* ctx);
 
-/// True when the calling thread is a pool worker (nested regions inline).
+/// True when the calling thread is inside a parallel region: it is a pool
+/// worker, or a caller running chunks of its own job. Regions nested in a
+/// chunk run inline.
 bool on_worker_thread() noexcept;
 
 }  // namespace detail

@@ -51,7 +51,7 @@ void DecisionEngine::decide(const rl::ActorCritic& net, std::size_t batch,
   actions.resize(batch);
   if (batch == 0) return;
   const std::size_t dim = obs_.dim();
-  if (batch == 1 || force_gemv) {
+  if (force_gemv) {
     for (std::size_t r = 0; r < batch; ++r) {
       actions[r] = net.greedy_action({rows_.data() + r * dim, dim});
     }

@@ -11,8 +11,9 @@
 // heap allocation.
 //
 // decide() runs either path over the same rows:
-//   * batch >= 2 -> Mlp::predict_batch (tiled GEMM over the row block);
-//   * batch == 1 (or force_gemv) -> the packed batch-1 GEMV fast path.
+//   * by default -> Mlp::predict_batch (tiled GEMM over whole 4-row tiles,
+//     GEMV for the rest, so batch 1 is one GEMV);
+//   * force_gemv -> the packed batch-1 GEMV fast path, row by row.
 // Both are bit-identical to Mlp::predict() per row at the dispatched ISA,
 // so the two paths always produce identical argmax decisions — the bench
 // and tests assert this.
@@ -44,8 +45,8 @@ class DecisionEngine {
   /// non-positive flow descriptor) — the caller replies kInvalidRequest.
   bool bind(const wire::Request& request, std::size_t row);
 
-  /// Greedy actions for rows [0, batch). With force_gemv (or batch 1) each
-  /// row runs the packed GEMV path; otherwise one predict_batch GEMM.
+  /// Greedy actions for rows [0, batch): one predict_batch, or with
+  /// force_gemv one packed GEMV per row.
   /// actions is resized to batch.
   void decide(const rl::ActorCritic& net, std::size_t batch, std::vector<int>& actions,
               bool force_gemv = false);
@@ -57,7 +58,6 @@ class DecisionEngine {
   std::vector<double> rows_;    ///< [max_batch x obs_dim], row-major
   std::vector<double> logits_;  ///< [batch x num_actions] scratch
   nn::Mlp::BatchScratch batch_scratch_;
-  nn::Mlp::Scratch row_scratch_;
 };
 
 }  // namespace dosc::serve

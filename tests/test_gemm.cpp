@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "nn/gemm.hpp"
@@ -226,6 +228,98 @@ TEST(Parallel, BackToBackTinyJobsRunEveryChunkOnce) {
     }
   }
   EXPECT_EQ(wrong, 0u);
+}
+
+TEST(Parallel, NestedRegionInCallerChunkRunsInline) {
+  // A chunk that opens its own region runs it inline on its own thread,
+  // whether the caller or a pool worker runs that chunk. For the caller's
+  // own chunks this used to retry the pool's caller mutex, which that very
+  // thread holds.
+  ComputeThreadsGuard guard(4);
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  std::atomic<int> foreign_inner{0};
+  std::atomic<int> caller_chunks{0};
+  for (int round = 0; round < 200; ++round) {
+    for (auto& h : hits) h.store(0);
+    parallel_chunks(kOuter, [&](std::size_t o) {
+      const std::thread::id outer = std::this_thread::get_id();
+      if (outer == caller) caller_chunks.fetch_add(1);
+      EXPECT_TRUE(detail::on_worker_thread());
+      parallel_chunks(kInner, [&](std::size_t i) {
+        if (std::this_thread::get_id() != outer) foreign_inner.fetch_add(1);
+        hits[o * kInner + i].fetch_add(1);
+      });
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+  }
+  EXPECT_EQ(foreign_inner.load(), 0);
+  EXPECT_GT(caller_chunks.load(), 0);  // the caller ran outer chunks itself
+  EXPECT_FALSE(detail::on_worker_thread());  // and left the region after
+}
+
+/// Burn roughly `us` microseconds on the calling thread.
+void busy_for(std::chrono::microseconds us) {
+  const auto end = std::chrono::steady_clock::now() + us;
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+TEST(Parallel, SpacedJobsRunEveryChunkOnce) {
+  // Jobs back to back (helpers never stop spinning), half a spin window
+  // apart (helpers still spinning) and two windows apart (helpers parked
+  // and woken): tiny jobs and forward-sized ones (four ~20 us chunks).
+  ComputeThreadsGuard guard(4);
+  const std::chrono::microseconds gaps[] = {std::chrono::microseconds(0),
+                                            detail::kSpinWindow / 2, detail::kSpinWindow * 2};
+  std::vector<std::atomic<int>> hits(16);
+  std::size_t wrong = 0;
+  for (const auto gap : gaps) {
+    for (const bool forward_sized : {false, true}) {
+      const std::size_t n = forward_sized ? 4 : 16;
+      const int jobs = gap.count() == 0 ? 2000 : 25;
+      for (int j = 0; j < jobs; ++j) {
+        for (std::size_t i = 0; i < n; ++i) hits[i].store(0);
+        parallel_chunks(n, [&](std::size_t i) {
+          if (forward_sized) busy_for(std::chrono::microseconds(20));
+          hits[i].fetch_add(1);
+        });
+        for (std::size_t i = 0; i < n; ++i) wrong += hits[i].load() != 1;
+        if (gap.count() > 0) std::this_thread::sleep_for(gap);
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+}
+
+TEST(Parallel, PoolShutsDownWhileHelpersSpinOrPark) {
+  struct Job {
+    std::atomic<int> hits[4];
+  };
+  const detail::ChunkFn fn = [](void* ctx, std::size_t i) {
+    static_cast<Job*>(ctx)->hits[i].fetch_add(1);
+  };
+  for (const bool parked : {false, true}) {
+    const std::uint64_t parks0 = pool_stats().parks;
+    Job job{};
+    {
+      detail::Pool pool;
+      ASSERT_TRUE(pool.try_run(4, fn, &job, 4));
+        // Wait, within reason, until the helpers have outlasted their spin
+      // window and parked.
+      for (int i = 0; parked && i < 400 && pool_stats().parks - parks0 < 3; ++i) {
+        std::this_thread::sleep_for(detail::kSpinWindow * 5);
+      }
+    }  // joins three helpers, spinning or parked
+    for (const auto& h : job.hits) EXPECT_EQ(h.load(), 1);
+    if (parked) {
+      EXPECT_GE(pool_stats().parks - parks0, 3u);
+    }
+  }
 }
 
 TEST(Parallel, ForRowsPartitionIsAlignedAndComplete) {

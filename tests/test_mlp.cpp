@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -79,6 +80,43 @@ TEST(Mlp, PredictBatchBitIdenticalToPredictAndPredictRow) {
         for (std::size_t j = 0; j < 4; ++j) {
           EXPECT_EQ(row_out[j], out[r * 4 + j]) << "row " << r;
         }
+      }
+    }
+  }
+}
+
+TEST(Mlp, PredictBatchMatchesPredictRow) {
+  // predict_batch forks once per forward (each chunk runs every layer on
+  // its own rows) and sends the batch's last batch % 4 rows through the
+  // GEMV. Whatever the split, every row must equal predict_row bit for bit.
+  // The second net reuses a scratch block at a different width (64 then
+  // 128 columns) and forks from batch 16 on.
+  util::Rng rng(7);
+  const Mlp nets[] = {Mlp({20, 256, 256, 5}, Activation::kTanh, Activation::kLinear, 21),
+                      Mlp({16, 64, 256, 128, 4}, Activation::kTanh, Activation::kLinear, 22)};
+  std::vector<std::size_t> batches;
+  for (std::size_t b = 1; b <= 33; ++b) batches.push_back(b);
+  batches.push_back(64);
+  for (const Mlp& net : nets) {
+    const std::size_t in = net.input_size();
+    const std::size_t out_dim = net.output_size();
+    const Matrix x = random_matrix(64, in, rng);
+    std::vector<double> expect(64 * out_dim);
+    Mlp::Scratch row_scratch;
+    std::vector<double> row_out;
+    for (std::size_t r = 0; r < 64; ++r) {
+      net.predict_row(x.row(r), row_out, row_scratch);
+      std::copy(row_out.begin(), row_out.end(), expect.begin() + r * out_dim);
+    }
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      ComputeThreadsGuard guard(threads);
+      Mlp::BatchScratch scratch;
+      std::vector<double> out;
+      for (const std::size_t batch : batches) {
+        net.predict_batch(x.data(), batch, out, scratch);
+        ASSERT_EQ(out.size(), batch * out_dim);
+        EXPECT_EQ(std::memcmp(out.data(), expect.data(), out.size() * sizeof(double)), 0)
+            << "in " << in << " batch " << batch << " threads " << threads;
       }
     }
   }

@@ -107,6 +107,24 @@ std::uint64_t acktr_update_allocs(std::size_t threads, std::size_t iterations) {
   return g_news.load(std::memory_order_relaxed) - before;
 }
 
+/// Allocations observed during `iterations` batched inference forwards of
+/// the paper's 2x256 actor at one batch size, after one warm-up forward.
+/// Each chunk of the one-fork forward works in row slices of the caller's
+/// BatchScratch, so no thread needs a buffer of its own.
+std::uint64_t predict_batch_allocs(std::size_t threads, std::size_t batch,
+                                   std::size_t iterations) {
+  ComputeThreadsGuard guard(threads);
+  util::Rng rng(55);
+  Mlp net({20, 256, 256, 5}, Activation::kTanh, Activation::kLinear, 3);
+  const Matrix x = random_matrix(batch, 20, rng);
+  Mlp::BatchScratch scratch;
+  std::vector<double> out;
+  net.predict_batch(x.data(), batch, out, scratch);
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < iterations; ++i) net.predict_batch(x.data(), batch, out, scratch);
+  return g_news.load(std::memory_order_relaxed) - before;
+}
+
 TEST(NnAlloc, CountingAllocatorSeesAllocations) {
   const std::uint64_t before = g_news.load(std::memory_order_relaxed);
   // Volatile-sized so the allocation cannot be elided as dead.
@@ -133,6 +151,11 @@ TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFree) {
 
 TEST(NnAlloc, AcktrUpdateSteadyStateIsAllocationFreeMultiThread) {
   EXPECT_EQ(acktr_update_allocs(/*threads=*/4, /*iterations=*/2), 0u);
+}
+
+TEST(NnAlloc, PredictBatchSteadyStateIsAllocationFreeMultiThread) {
+  EXPECT_EQ(predict_batch_allocs(/*threads=*/4, /*batch=*/16, /*iterations=*/20), 0u);
+  EXPECT_EQ(predict_batch_allocs(/*threads=*/4, /*batch=*/32, /*iterations=*/20), 0u);
 }
 
 TEST(NnAlloc, ReshapeAllocatesOnlyWhenGrowing) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "nn/matrix.hpp"
+#include "nn/parallel.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -243,6 +245,35 @@ TEST(Registry, ClearKeepsCachedReferencesValid) {
   set_enabled(false);
   EXPECT_EQ(registry.counter("nn.gemm.calls").value(), 1u);
   EXPECT_EQ(registry.counter("nn.gemm.flops").value(), 2u * 8 * 4 * 6);
+  registry.clear();
+}
+
+TEST(Registry, ComputePoolCountersMirrorPoolStats) {
+  // nn.pool.* mirror the always-on pool totals while telemetry is on; a
+  // job that forks counts once, with all of its chunks, and the chunks
+  // helpers ran are a subset of them.
+  MetricsRegistry& registry = MetricsRegistry::global();
+  nn::ComputeThreadsGuard guard(4);
+  nn::parallel_chunks(8, [](std::size_t) {});  // starts the pool's workers
+  set_enabled(true);
+  registry.clear();
+  const nn::PoolStats before = nn::pool_stats();
+  std::atomic<int> ran{0};
+  nn::parallel_chunks(8, [&](std::size_t) { ran.fetch_add(1); });
+  const nn::PoolStats after = nn::pool_stats();
+  set_enabled(false);
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(after.jobs - before.jobs, 1u);
+  EXPECT_EQ(after.chunks - before.chunks, 8u);
+  EXPECT_LE(after.helper_chunks - before.helper_chunks, 8u);
+  EXPECT_EQ(registry.counter("nn.pool.jobs").value(), 1u);
+  EXPECT_EQ(registry.counter("nn.pool.chunks").value(), 8u);
+  EXPECT_EQ(registry.counter("nn.pool.helper_chunks").value(),
+            after.helper_chunks - before.helper_chunks);
+  // Telemetry off: the totals advance, the registry does not.
+  nn::parallel_chunks(8, [](std::size_t) {});
+  EXPECT_EQ(nn::pool_stats().jobs - after.jobs, 1u);
+  EXPECT_EQ(registry.counter("nn.pool.jobs").value(), 1u);
   registry.clear();
 }
 
