@@ -12,10 +12,13 @@
 //     is hit by the loadgen on loopback; we report achieved rate, loss,
 //     client-side e2e p50/p90/p99 (cookie round-trip) and the server's own
 //     batch-size and per-request decide histograms.
-//  3. Hot-swap under load: the highest sweep rate again, with a publisher
-//     thread re-publishing fresh snapshots every few milliseconds. Zero
-//     lost replies and >1 distinct policy version in the responses prove
-//     swaps are invisible to clients.
+//  3. Hot-swap under load: the highest sweep rate again, once steady (no
+//     publisher) and once with a publisher thread cycling through a few
+//     distinct untrained snapshots, built before the load starts, every
+//     5 ms. Zero lost replies and >1 distinct policy version in the
+//     responses prove swaps are invisible to clients; the swap run's e2e
+//     p99 over the steady run's (same requests, same offered rate) is the
+//     tail cost of swapping, reported as swap_p99_over_steady_p99.
 //
 // Client and server share the machine (often a single core in CI), so the
 // e2e numbers include scheduling contention — that is the deployment story
@@ -193,6 +196,18 @@ int main() {
     const std::size_t count = sweep_count(rate);
     const std::vector<serve::wire::Request> requests =
         serve::make_request_mix(scenario, count, /*seed=*/31);
+    serve::LoadConfig load;
+    load.rate = rate;
+    load.seed = 31;
+    load.drain_timeout_ms = 2000;
+    const serve::LoadReport steady =
+        serve_run(scenario, requests, serve::ServerConfig{}, load, nullptr);
+
+    // Distinct snapshots built up front, so the swapper only publishes.
+    std::vector<core::TrainedPolicy> snapshots;
+    for (std::uint64_t seed = 1000; seed < 1004; ++seed) {
+      snapshots.push_back(serve::make_untrained_policy(scenario, kServingHidden, seed));
+    }
     const core::TrainedPolicy policy =
         serve::make_untrained_policy(scenario, kServingHidden, 7);
     serve::UdpServer server(scenario, policy, serve::ServerConfig{});
@@ -200,19 +215,13 @@ int main() {
 
     std::atomic<bool> stop_swapping{false};
     std::thread swapper([&] {
-      std::uint64_t swaps = 0;
-      while (!stop_swapping.load(std::memory_order_acquire)) {
-        server.publish(serve::make_untrained_policy(scenario, kServingHidden, 1000 + swaps));
-        ++swaps;
+      for (std::size_t swaps = 0; !stop_swapping.load(std::memory_order_acquire); ++swaps) {
+        server.publish(snapshots[swaps % snapshots.size()]);
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
     });
 
-    serve::LoadConfig load;
     load.port = server.port();
-    load.rate = rate;
-    load.seed = 31;
-    load.drain_timeout_ms = 2000;
     const serve::LoadReport report = serve::run_load(requests, load);
 
     stop_swapping.store(true, std::memory_order_release);
@@ -224,11 +233,15 @@ int main() {
         report.sent > 0 ? 1.0 - static_cast<double>(report.received) / report.sent : 1.0;
     const bool swap_invisible = report.policy_versions.size() > 1 && report.server_errors == 0;
     ok = ok && swap_invisible && stats.protocol_errors == 0;
+    const double steady_p99 = steady.e2e_us.percentile(99.0);
+    const double swap_p99 = report.e2e_us.percentile(99.0);
+    const double p99_ratio = steady_p99 > 0.0 ? swap_p99 / steady_p99 : 0.0;
     std::printf("hot-swap @ %.0f rps: %llu swaps, %zu versions seen by clients, "
-                "loss %.4f%%, e2e p99 %.0f us (%s)\n", rate,
+                "loss %.4f%%, e2e p99 %.0f us (%s); steady e2e p99 %.0f us, "
+                "swap/steady p99 %.2fx\n", rate,
                 static_cast<unsigned long long>(stats.hot_swaps), report.policy_versions.size(),
-                100.0 * loss, report.e2e_us.percentile(99.0),
-                swap_invisible ? "INVISIBLE" : "VISIBLE");
+                100.0 * loss, swap_p99, swap_invisible ? "INVISIBLE" : "VISIBLE", steady_p99,
+                p99_ratio);
     entries.push_back(util::Json(util::Json::Object{
         {"kind", util::Json(std::string("hot_swap_under_load"))},
         {"offered_rate", util::Json(rate)},
@@ -239,6 +252,8 @@ int main() {
         {"hot_swaps", util::Json(static_cast<std::size_t>(stats.hot_swaps))},
         {"versions_seen", util::Json(report.policy_versions.size())},
         {"e2e_us", histogram_json(report.e2e_us)},
+        {"steady_e2e_us", histogram_json(steady.e2e_us)},
+        {"swap_p99_over_steady_p99", util::Json(p99_ratio)},
         {"swap_invisible", util::Json(swap_invisible)},
         {"protocol_errors", util::Json(static_cast<std::size_t>(stats.protocol_errors))},
     }));

@@ -239,8 +239,7 @@ core::TrainedPolicy train_central_policy(const sim::Scenario& scenario,
 
       auto worker = [&](std::size_t env_index) {
         try {
-          rl::ActorCritic local(net_config);
-          local.set_parameters(snapshot);
+          rl::ActorCritic local(net_config, snapshot);
           rl::TrajectoryBuffer buffer(config.gamma);
           const std::uint64_t es = mix_seed(config.seed_base, seed_index, iteration, env_index);
           CentralDrlCoordinator env(local, config.central, config.reward, &buffer,

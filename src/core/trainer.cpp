@@ -30,9 +30,7 @@ TrainingConfig TrainingConfig::paper_scale() {
 }
 
 rl::ActorCritic TrainedPolicy::instantiate() const {
-  rl::ActorCritic net(net_config);
-  net.set_parameters(parameters);
-  return net;
+  return rl::ActorCritic(net_config, parameters);
 }
 
 std::uint64_t episode_seed(std::uint64_t base, std::size_t seed_index, std::size_t iteration,
@@ -345,8 +343,7 @@ TrainedPolicy train_distributed_policy(const sim::Scenario& scenario,
         try {
           DOSC_TRACE_SCOPE("train", "rollout");
           const util::Timer rollout_timer;
-          rl::ActorCritic local(net_config);
-          local.set_parameters(snapshot);
+          rl::ActorCritic local(net_config, snapshot);
           rl::TrajectoryBuffer buffer(config.gamma);
           const std::uint64_t es =
               episode_seed(config.seed_base, seed_index, iteration, env_index);

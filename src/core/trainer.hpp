@@ -91,6 +91,8 @@ struct TrainedPolicy {
   double eval_reward = 0.0;
   std::vector<double> per_seed_success;  ///< evaluation result of every seed
 
+  /// The network these parameters describe, built from them directly (no
+  /// random initialisation to overwrite).
   rl::ActorCritic instantiate() const;
 };
 

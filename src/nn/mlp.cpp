@@ -24,26 +24,50 @@ struct Mlp::PackCache {
   std::vector<gemv::AlignedBuffer> gemm_slabs;  ///< per-layer gemm B pack
 };
 
-Mlp::Mlp(std::vector<std::size_t> layer_sizes, Activation hidden, Activation output,
-         std::uint64_t seed, double head_stddev) {
-  pack_ = std::make_unique<PackCache>();
-  if (layer_sizes.size() < 2) throw std::invalid_argument("Mlp: need at least in+out sizes");
-  util::Rng rng(seed);
-  for (std::size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
-    const bool is_output = (i + 2 == layer_sizes.size());
-    DenseLayer layer;
-    if (is_output) {
-      layer.weights = Matrix::scaled_normal(layer_sizes[i], layer_sizes[i + 1], head_stddev, rng);
-      layer.activation = output;
-    } else {
-      layer.weights = Matrix::xavier(layer_sizes[i], layer_sizes[i + 1], rng);
-      layer.activation = hidden;
-    }
-    layer.bias = Matrix(1, layer_sizes[i + 1]);
-    layer.grad_weights = Matrix(layer_sizes[i], layer_sizes[i + 1]);
-    layer.grad_bias = Matrix(1, layer_sizes[i + 1]);
-    layers_.push_back(std::move(layer));
+namespace {
+
+/// The one layer layout: zeroed weights, bias and gradients of every layer,
+/// `hidden` activations and `output` on the last layer.
+std::vector<DenseLayer> make_layers(const std::vector<std::size_t>& sizes, Activation hidden,
+                                    Activation output) {
+  if (sizes.size() < 2) throw std::invalid_argument("Mlp: need at least in+out sizes");
+  std::vector<DenseLayer> layers(sizes.size() - 1);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    DenseLayer& layer = layers[i];
+    layer.weights = Matrix(sizes[i], sizes[i + 1]);
+    layer.bias = Matrix(1, sizes[i + 1]);
+    layer.grad_weights = Matrix(sizes[i], sizes[i + 1]);
+    layer.grad_bias = Matrix(1, sizes[i + 1]);
+    layer.activation = (i + 1 == layers.size()) ? output : hidden;
   }
+  return layers;
+}
+
+}  // namespace
+
+Mlp::Mlp(const std::vector<std::size_t>& layer_sizes, Activation hidden, Activation output,
+         std::uint64_t seed, double head_stddev)
+    : layers_(make_layers(layer_sizes, hidden, output)), pack_(std::make_unique<PackCache>()) {
+  util::Rng rng(seed);
+  for (DenseLayer& layer : layers_) {
+    layer.weights = (&layer == &layers_.back())
+                        ? Matrix::scaled_normal(layer.fan_in(), layer.fan_out(), head_stddev, rng)
+                        : Matrix::xavier(layer.fan_in(), layer.fan_out(), rng);
+  }
+}
+
+Mlp::Mlp(const std::vector<std::size_t>& layer_sizes, Activation hidden, Activation output,
+         std::span<const double> parameters)
+    : layers_(make_layers(layer_sizes, hidden, output)), pack_(std::make_unique<PackCache>()) {
+  set_parameters(parameters);
+}
+
+std::size_t Mlp::parameter_count(const std::vector<std::size_t>& layer_sizes) noexcept {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
+    n += (layer_sizes[i] + 1) * layer_sizes[i + 1];
+  }
+  return n;
 }
 
 Mlp::Mlp(const Mlp& other) : layers_(other.layers_), pack_(std::make_unique<PackCache>()) {}
@@ -360,9 +384,9 @@ std::vector<double> Mlp::get_parameters() const {
   return flat;
 }
 
-void Mlp::set_parameters(const std::vector<double>& flat) {
+void Mlp::set_parameters(std::span<const double> flat) {
   if (flat.size() != num_parameters()) {
-    throw std::invalid_argument("Mlp::set_parameters: size mismatch");
+    throw std::invalid_argument("Mlp: parameter count mismatch");
   }
   std::size_t offset = 0;
   for (DenseLayer& layer : layers_) {

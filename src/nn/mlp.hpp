@@ -43,8 +43,19 @@ class Mlp {
   /// layer_sizes = {in, h1, ..., out}. Hidden layers use `hidden`; the last
   /// layer uses `output` activation. The output layer's weights are
   /// initialised with a small stddev (common for policy/value heads).
-  Mlp(std::vector<std::size_t> layer_sizes, Activation hidden, Activation output,
+  Mlp(const std::vector<std::size_t>& layer_sizes, Activation hidden, Activation output,
       std::uint64_t seed, double head_stddev = 0.01);
+  /// The same network built straight from a flat parameter vector in
+  /// get_parameters() order, with no random draw: what a deployed snapshot
+  /// or a rollout replica needs. Both constructors allocate the layers
+  /// through one routine, so the layout is the same. Throws
+  /// std::invalid_argument unless parameters.size() ==
+  /// parameter_count(layer_sizes).
+  Mlp(const std::vector<std::size_t>& layer_sizes, Activation hidden, Activation output,
+      std::span<const double> parameters);
+
+  /// Number of parameters of a network with these layer sizes.
+  static std::size_t parameter_count(const std::vector<std::size_t>& layer_sizes) noexcept;
 
   // Copies share no packed-weight state (the copy repacks lazily on first
   // predict_row); moves carry the cache along with the weights it mirrors.
@@ -133,7 +144,7 @@ class Mlp {
   std::size_t num_parameters() const noexcept;
 
   std::vector<double> get_parameters() const;
-  void set_parameters(const std::vector<double>& flat);
+  void set_parameters(std::span<const double> flat);
 
  private:
   struct PackCache;  // packed gemv weight panels (mutex + atomic valid flag)

@@ -41,6 +41,7 @@ double softmax_entropy(std::span<const double> logits) {
 }
 
 namespace {
+
 std::vector<std::size_t> layer_sizes(std::size_t in, const std::vector<std::size_t>& hidden,
                                      std::size_t out) {
   std::vector<std::size_t> sizes;
@@ -49,18 +50,45 @@ std::vector<std::size_t> layer_sizes(std::size_t in, const std::vector<std::size
   sizes.push_back(out);
   return sizes;
 }
-}  // namespace
 
-ActorCritic::ActorCritic(const ActorCriticConfig& config)
-    : config_(config),
-      actor_(layer_sizes(config.obs_dim, config.hidden, config.num_actions),
-             nn::Activation::kTanh, nn::Activation::kLinear, config.seed * 2 + 1),
-      critic_(layer_sizes(config.obs_dim, config.hidden, 1), nn::Activation::kTanh,
-              nn::Activation::kLinear, config.seed * 2 + 2, /*head_stddev=*/1.0) {
+std::vector<std::size_t> actor_sizes(const ActorCriticConfig& c) {
+  return layer_sizes(c.obs_dim, c.hidden, c.num_actions);
+}
+
+std::vector<std::size_t> critic_sizes(const ActorCriticConfig& c) {
+  return layer_sizes(c.obs_dim, c.hidden, 1);
+}
+
+const ActorCriticConfig& checked(const ActorCriticConfig& config) {
   if (config.obs_dim == 0 || config.num_actions == 0) {
     throw std::invalid_argument("ActorCritic: obs_dim and num_actions must be > 0");
   }
+  return config;
 }
+
+/// The actor's leading share of a flat actor+critic vector. Too short a
+/// vector throws here; the critic's constructor rejects a wrong remainder.
+std::span<const double> actor_share(const ActorCriticConfig& c, std::span<const double> flat) {
+  const std::size_t n = nn::Mlp::parameter_count(actor_sizes(c));
+  if (flat.size() < n) throw std::invalid_argument("ActorCritic: parameter count mismatch");
+  return flat.first(n);
+}
+
+}  // namespace
+
+ActorCritic::ActorCritic(const ActorCriticConfig& config)
+    : config_(checked(config)),
+      actor_(actor_sizes(config), nn::Activation::kTanh, nn::Activation::kLinear,
+             config.seed * 2 + 1),
+      critic_(critic_sizes(config), nn::Activation::kTanh, nn::Activation::kLinear,
+              config.seed * 2 + 2, /*head_stddev=*/1.0) {}
+
+ActorCritic::ActorCritic(const ActorCriticConfig& config, std::span<const double> parameters)
+    : config_(checked(config)),
+      actor_(actor_sizes(config), nn::Activation::kTanh, nn::Activation::kLinear,
+             actor_share(config, parameters)),
+      critic_(critic_sizes(config), nn::Activation::kTanh, nn::Activation::kLinear,
+              parameters.subspan(actor_.num_parameters())) {}
 
 nn::Matrix ActorCritic::to_row(std::span<const double> obs) const {
   if (obs.size() != config_.obs_dim) {
@@ -148,13 +176,13 @@ std::vector<double> ActorCritic::get_parameters() const {
   return flat;
 }
 
-void ActorCritic::set_parameters(const std::vector<double>& flat) {
+void ActorCritic::set_parameters(std::span<const double> flat) {
   const std::size_t actor_n = actor_.num_parameters();
   if (flat.size() != actor_n + critic_.num_parameters()) {
-    throw std::invalid_argument("ActorCritic::set_parameters: size mismatch");
+    throw std::invalid_argument("ActorCritic: parameter count mismatch");
   }
-  actor_.set_parameters({flat.begin(), flat.begin() + actor_n});
-  critic_.set_parameters({flat.begin() + actor_n, flat.end()});
+  actor_.set_parameters(flat.first(actor_n));
+  critic_.set_parameters(flat.subspan(actor_n));
 }
 
 }  // namespace dosc::rl

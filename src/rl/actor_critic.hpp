@@ -38,7 +38,14 @@ double softmax_entropy(std::span<const double> logits);
 
 class ActorCritic {
  public:
+  /// Random initialisation from config.seed (Xavier hidden layers,
+  /// normal-initialised heads).
   explicit ActorCritic(const ActorCriticConfig& config);
+  /// Built from flat parameters in get_parameters() order (actor, then
+  /// critic) with no random draw: the same network as ActorCritic(config)
+  /// followed by set_parameters(parameters), for every config.seed. Throws
+  /// std::invalid_argument on a parameter count mismatch.
+  ActorCritic(const ActorCriticConfig& config, std::span<const double> parameters);
 
   const ActorCriticConfig& config() const noexcept { return config_; }
 
@@ -76,7 +83,7 @@ class ActorCritic {
 
   /// Flat parameters of actor followed by critic (snapshot / deploy).
   std::vector<double> get_parameters() const;
-  void set_parameters(const std::vector<double>& flat);
+  void set_parameters(std::span<const double> flat);
 
  private:
   nn::Matrix to_row(std::span<const double> obs) const;

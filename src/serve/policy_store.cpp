@@ -8,10 +8,7 @@
 namespace dosc::serve {
 
 ServePolicy::ServePolicy(const core::TrainedPolicy& policy, std::uint32_t version_arg)
-    : net(policy.instantiate()),
-      version(version_arg),
-      max_degree(policy.max_degree),
-      checksum(core::policy_checksum(policy.parameters)) {}
+    : net(policy.instantiate()), version(version_arg), max_degree(policy.max_degree) {}
 
 std::unique_ptr<const ServePolicy> make_serve_policy(const core::TrainedPolicy& policy,
                                                      std::size_t network_max_degree,
@@ -31,9 +28,10 @@ std::unique_ptr<const ServePolicy> make_serve_policy(const core::TrainedPolicy& 
                              std::to_string(network_max_degree));
   }
   auto serve_policy = std::make_unique<ServePolicy>(policy, version);
-  // Touch the gemv fast path once so the packed panels are built before the
-  // snapshot is visible to workers (the pack is lazy and mutex-guarded; a
-  // cold swap would otherwise briefly serialize the first decides).
+  // Touch the fast path once so the GEMV panels and GEMM slabs are packed
+  // before the snapshot is visible to workers (the pack is lazy and
+  // mutex-guarded; a cold swap would otherwise briefly serialize the first
+  // decides).
   std::vector<double> obs(c.obs_dim, 0.0), logits;
   nn::Mlp::Scratch scratch;
   serve_policy->net.actor().predict_row(obs, logits, scratch);

@@ -30,9 +30,8 @@ using EpochPublished = util::EpochPublished<T>;
 /// shared read-only across all decide workers via EpochPublished.
 struct ServePolicy {
   rl::ActorCritic net;
-  std::uint32_t version = 0;     ///< monotone publish id, echoed in replies
-  std::size_t max_degree = 0;    ///< padded degree of the observation layout
-  std::uint64_t checksum = 0;    ///< core::policy_checksum of the parameters
+  std::uint32_t version = 0;   ///< monotone publish id, echoed in replies
+  std::size_t max_degree = 0;  ///< padded degree of the observation layout
 
   ServePolicy(const core::TrainedPolicy& policy, std::uint32_t version);
 };
@@ -41,8 +40,11 @@ struct ServePolicy {
 /// serving scenario: structural validation (parameter count), the
 /// distributed observation layout (obs_dim == observation_dim(max_degree),
 /// num_actions == max_degree + 1), and degree compatibility with the
-/// network. Pre-warms the gemv PackCache so the first post-swap decide
-/// does not pay the repack. Throws std::runtime_error on mismatch.
+/// network. Builds the actor-critic straight from the parameters (no random
+/// init, no re-hash: core::load_policy verified the file checksum) and
+/// pre-warms the actor's PackCache — the batch-1 GEMV panels and the GEMM
+/// weight slabs — so the first post-swap decide pays no pack on either path.
+/// Throws std::runtime_error on mismatch.
 std::unique_ptr<const ServePolicy> make_serve_policy(const core::TrainedPolicy& policy,
                                                      std::size_t network_max_degree,
                                                      std::uint32_t version);

@@ -14,7 +14,9 @@
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
+#include "telemetry/trace.hpp"
 #include "util/logging.hpp"
+#include "util/timer.hpp"
 
 namespace dosc::serve {
 
@@ -170,6 +172,8 @@ void UdpServer::stop() {
 }
 
 void UdpServer::publish(const core::TrainedPolicy& policy) {
+  DOSC_TRACE_SCOPE("serve", "serve.publish");
+  const util::Timer timer;
   const std::size_t degree = store_.acquire()->max_degree;
   if (policy.max_degree != degree) {
     throw std::runtime_error(
@@ -179,6 +183,9 @@ void UdpServer::publish(const core::TrainedPolicy& policy) {
   store_.publish(make_serve_policy(policy, scenario_.network().max_degree(),
                                    next_version_.fetch_add(1)));
   hot_swaps_.fetch_add(1, std::memory_order_relaxed);
+  if (telemetry::enabled()) {
+    telemetry::MetricsRegistry::global().observe("serve.publish_us", timer.elapsed_micros());
+  }
 }
 
 ServerStats UdpServer::stats() const {

@@ -21,6 +21,9 @@
 //   gauge      serve.policy_version
 //   histograms serve.batch_size, serve.decide_us (per-batch pipeline time),
 //              serve.request_decide_us (per-request share)
+// publish() records serve.publish_us (snapshot build + store publish) into
+// the registry directly, one sample per successful call, under a
+// serve.publish trace scope.
 #pragma once
 
 #include <atomic>

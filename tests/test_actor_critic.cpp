@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "rl/actor_critic.hpp"
 
@@ -114,6 +115,62 @@ TEST(ActorCritic, ParameterRoundTripPreservesBehaviour) {
   for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
   EXPECT_DOUBLE_EQ(a.value(obs), b.value(obs));
   EXPECT_THROW(b.set_parameters(std::vector<double>(5)), std::invalid_argument);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ActorCritic, ParameterConstructorMatchesSetParameters) {
+  // ActorCritic(config, p) — no random draw — is ActorCritic(config) +
+  // set_parameters(p) bit for bit: parameters, per-row and batched actor
+  // forwards, and the critic's value. At the paper's 2x256 and on a
+  // 3-hidden-layer net.
+  for (const std::vector<std::size_t>& hidden :
+       {std::vector<std::size_t>{256, 256}, std::vector<std::size_t>{32, 48, 24}}) {
+    ActorCriticConfig config;
+    config.obs_dim = 23;
+    config.num_actions = 5;
+    config.hidden = hidden;
+    config.seed = 1;
+    const std::vector<double> p = ActorCritic(config).get_parameters();
+    config.seed = 2;  // the overwritten init must not matter
+    ActorCritic reference(config);
+    reference.set_parameters(p);
+    const ActorCritic built(config, p);
+    EXPECT_TRUE(same_bits(built.get_parameters(), reference.get_parameters()));
+    EXPECT_TRUE(same_bits(built.get_parameters(), p));
+
+    util::Rng rng(9);
+    std::vector<double> obs(32 * config.obs_dim);
+    for (double& o : obs) o = rng.uniform(-1.0, 1.0);
+    const std::span<const double> row0(obs.data(), config.obs_dim);
+    nn::Mlp::Scratch rs;
+    std::vector<double> a, b;
+    reference.actor().predict_row(row0, a, rs);
+    built.actor().predict_row(row0, b, rs);
+    EXPECT_TRUE(same_bits(a, b));
+    nn::Mlp::BatchScratch bs;
+    for (const std::size_t batch : {1u, 5u, 32u}) {
+      reference.actor().predict_batch(obs.data(), batch, a, bs);
+      built.actor().predict_batch(obs.data(), batch, b, bs);
+      EXPECT_TRUE(same_bits(a, b)) << "batch " << batch;
+    }
+    for (std::size_t r = 0; r < 32; ++r) {
+      const std::span<const double> row(obs.data() + r * config.obs_dim, config.obs_dim);
+      const double va = reference.value(row);
+      const double vb = built.value(row);
+      EXPECT_EQ(std::memcmp(&va, &vb, sizeof(double)), 0) << "row " << r;
+    }
+
+    const std::vector<double> short_p(p.begin(), p.end() - 1);
+    std::vector<double> long_p = p;
+    long_p.push_back(0.0);
+    EXPECT_THROW(ActorCritic(config, short_p), std::invalid_argument);
+    EXPECT_THROW(ActorCritic(config, long_p), std::invalid_argument);
+    EXPECT_THROW(ActorCritic(config, std::vector<double>{}), std::invalid_argument);
+  }
 }
 
 TEST(ActorCritic, DifferentSeedsDifferentPolicies) {

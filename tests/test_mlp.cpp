@@ -245,6 +245,47 @@ TEST(Mlp, ParameterRoundTrip) {
   EXPECT_THROW(b.set_parameters(std::vector<double>(3)), std::invalid_argument);
 }
 
+TEST(Mlp, ParameterConstructorMatchesSetParameters) {
+  // Built from parameters (no random draw) == random init overwritten by
+  // set_parameters, bit for bit, on every forward path.
+  util::Rng rng(12);
+  for (const std::vector<std::size_t>& sizes :
+       {std::vector<std::size_t>{20, 256, 256, 5}, std::vector<std::size_t>{16, 32, 48, 24, 4}}) {
+    const std::vector<double> params =
+        Mlp(sizes, Activation::kTanh, Activation::kLinear, 3).get_parameters();
+    ASSERT_EQ(params.size(), Mlp::parameter_count(sizes));
+    Mlp reference(sizes, Activation::kTanh, Activation::kLinear, 4);
+    reference.set_parameters(params);
+    const Mlp built(sizes, Activation::kTanh, Activation::kLinear, params);
+    EXPECT_EQ(built.get_parameters(), params);
+    ASSERT_EQ(built.layers().size(), reference.layers().size());
+    for (std::size_t i = 0; i < built.layers().size(); ++i) {
+      EXPECT_EQ(built.layers()[i].activation, reference.layers()[i].activation);
+      EXPECT_EQ(built.layers()[i].grad_weights.size(), reference.layers()[i].grad_weights.size());
+    }
+    const Matrix x = random_matrix(32, sizes.front(), rng);
+    Mlp::Scratch rs;
+    std::vector<double> a, b;
+    reference.predict_row(x.row(0), a, rs);
+    built.predict_row(x.row(0), b, rs);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+    Mlp::BatchScratch bs;
+    for (const std::size_t batch : {1u, 5u, 32u}) {
+      reference.predict_batch(x.data(), batch, a, bs);
+      built.predict_batch(x.data(), batch, b, bs);
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << batch;
+    }
+    std::vector<double> short_params(params.begin(), params.end() - 1);
+    std::vector<double> long_params = params;
+    long_params.push_back(0.0);
+    EXPECT_THROW(Mlp(sizes, Activation::kTanh, Activation::kLinear, short_params),
+                 std::invalid_argument);
+    EXPECT_THROW(Mlp(sizes, Activation::kTanh, Activation::kLinear, long_params),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Mlp, DeterministicInitialisationPerSeed) {
   Mlp a({3, 4, 2}, Activation::kTanh, Activation::kLinear, 5);
   Mlp b({3, 4, 2}, Activation::kTanh, Activation::kLinear, 5);

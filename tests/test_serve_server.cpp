@@ -24,6 +24,7 @@
 #include "serve/server.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/registry.hpp"
 
 using namespace dosc;
 
@@ -175,6 +176,14 @@ TEST(ServePolicyStore, MakeServePolicyValidatesLayout) {
   EXPECT_THROW(serve::make_serve_policy(policy, degree, 1), std::runtime_error);
 }
 
+TEST(ServePolicyStore, SnapshotIsBuiltFromThePolicyParameters) {
+  const sim::Scenario scenario = sim::make_base_scenario();
+  core::TrainedPolicy policy = serve::make_untrained_policy(scenario, 16, 3);
+  policy.net_config.seed = 77;  // an init seed the parameters did not come from
+  const auto snapshot = serve::make_serve_policy(policy, scenario.network().max_degree(), 1);
+  EXPECT_EQ(snapshot->net.get_parameters(), policy.parameters);
+}
+
 // ----------------------------------------------------------------- server
 
 class ServeServerTest : public ::testing::Test {
@@ -311,6 +320,25 @@ TEST_F(ServeServerTest, StatsAndHistogramsTrackTheLoad) {
   EXPECT_GT(stats.batches, 0u);
   EXPECT_EQ(server_->batch_size_histogram().count(), stats.batches);
   EXPECT_EQ(server_->request_decide_us_histogram().count(), stats.requests);
+}
+
+TEST_F(ServeServerTest, EachPublishRecordsOnePublishSample) {
+  // serve.publish_us gets exactly one sample per successful publish() while
+  // telemetry is on: none for a rejected snapshot, none with telemetry off.
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::global();
+  const bool was_enabled = telemetry::enabled();
+  const std::uint64_t before = registry.histogram("serve.publish_us").count();
+  telemetry::set_enabled(true);
+  constexpr std::uint64_t kPublishes = 7;
+  for (std::uint64_t i = 0; i < kPublishes; ++i) server_->publish(policy_);
+  core::TrainedPolicy wrong_degree = policy_;
+  wrong_degree.max_degree += 1;
+  EXPECT_THROW(server_->publish(wrong_degree), std::runtime_error);
+  telemetry::set_enabled(false);
+  server_->publish(policy_);
+  telemetry::set_enabled(was_enabled);
+  EXPECT_EQ(registry.histogram("serve.publish_us").count() - before, kPublishes);
+  EXPECT_EQ(server_->stats().hot_swaps, kPublishes + 1);
 }
 
 TEST(ServeServer, ForceGemvServesIdenticalDecisionsToBatched) {
