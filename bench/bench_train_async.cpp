@@ -121,10 +121,12 @@ ThroughputResult run_sync(const sim::Scenario& scenario) {
       run_episode(scenario, net, buffers[e], update, e, /*record_behavior_logp=*/false);
       buffers[e].truncate_all();
       buffers[e].drain_into(batches[e], net, obs_dim);
-      result.env_steps += batches[e].size();
     }
     util::Rng merge_rng(core::episode_seed(kSeedBase, 0, update, 777));
     rl::merge_batches_into(merged, batches, obs_dim, 4096, merge_rng);
+    // Rows fed to the update after the 4,096-row cap: the unit
+    // AsyncTrainStats::env_steps counts, so every speedup compares equal work.
+    result.env_steps += merged.size();
     updater.update(net, merged);
     ++result.updates;
   }

@@ -5,13 +5,11 @@
 //   dosc_cli train <scenario.json> <policy.json> [--iterations N] [--seeds K]
 //   dosc_cli eval  <scenario.json> <algo> [--policy policy.json]
 //                  [--episodes N] [--time MS] [--episodes-parallel W]
-//                  [--partitions K] [--audit] [--stats]
+//                  [--audit] [--stats]
 //                  algo: dist|gcasp|sp  (--stats prints event-engine
 //                  counters per episode: queue peak, pool sizes, recycling;
 //                  --episodes-parallel runs W independent episodes
-//                  concurrently, 0 = hardware threads, output unchanged;
-//                  --partitions K shards each episode across K LPs with the
-//                  conservative parallel simulator, one coordinator per LP)
+//                  concurrently, 0 = hardware threads, output unchanged)
 //   dosc_cli fuzz  [--seeds N] [--time MS]       differential fuzzing
 //   dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]
 //                  regenerate the seeded scenario corpus library into <dir>
@@ -43,7 +41,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -64,7 +61,6 @@
 #include "net/topology_zoo.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
-#include "sim/parallel.hpp"
 #include "sim/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -82,7 +78,7 @@ int usage() {
                "  dosc_cli train <scenario.json> <policy.json> [--iterations N] [--seeds K]\n"
                "  dosc_cli eval <scenario.json> <dist|gcasp|sp> [--policy p.json]\n"
                "                [--episodes N] [--time MS] [--episodes-parallel W]\n"
-               "                [--partitions K] [--audit] [--stats]\n"
+               "                [--audit] [--stats]\n"
                "  dosc_cli fuzz [--seeds N] [--time MS]\n"
                "  dosc_cli gen-corpus [<dir>] [--verify] [--audit] [--entry NAME]\n"
                "  dosc_cli trace <out.json> [--seed S] [--horizon MS]\n"
@@ -222,8 +218,7 @@ int cmd_train(int argc, char** argv) {
 
 int cmd_eval(int argc, char** argv) {
   if (argc < 4 ||
-      !check_flags(argc, argv,
-                   {"--policy", "--episodes", "--time", "--episodes-parallel", "--partitions"},
+      !check_flags(argc, argv, {"--policy", "--episodes", "--time", "--episodes-parallel"},
                    {"--audit", "--stats"})) {
     return usage();
   }
@@ -240,18 +235,9 @@ int cmd_eval(int argc, char** argv) {
   std::size_t parallel =
       static_cast<std::size_t>(flag(argc, argv, "--episodes-parallel", 1));
   if (parallel == 0) parallel = std::thread::hardware_concurrency();
-  // Shard each episode across K LPs (conservative PDES, sim/parallel.hpp).
-  const std::uint32_t partitions =
-      static_cast<std::uint32_t>(flag(argc, argv, "--partitions", 1));
-  if (partitions == 0) {
-    std::fprintf(stderr, "eval: --partitions must be >= 1\n");
-    return 2;
-  }
   const sim::Scenario eval = scenario.with_end_time(time);
 
-  const core::TrainedPolicy* policy = nullptr;
   const rl::ActorCritic* net = nullptr;
-  static std::optional<core::TrainedPolicy> policy_storage;
   static std::optional<rl::ActorCritic> net_storage;
   if (algo == "dist") {
     const char* policy_path = flag_str(argc, argv, "--policy", nullptr);
@@ -259,14 +245,11 @@ int cmd_eval(int argc, char** argv) {
       std::fprintf(stderr, "eval dist requires --policy <file>\n");
       return 2;
     }
-    policy_storage = core::load_policy(policy_path);
-    net_storage = policy_storage->instantiate();
-    policy = &*policy_storage;
+    net_storage = core::load_policy(policy_path).instantiate();
     net = &*net_storage;
   } else if (algo != "gcasp" && algo != "sp") {
     return usage();
   }
-  (void)policy;
 
   struct EpisodeOut {
     double success = 0.0;
@@ -279,76 +262,6 @@ int cmd_eval(int argc, char** argv) {
   };
   std::vector<EpisodeOut> results(episodes);
   const auto run_episode = [&](std::size_t e) {
-    if (partitions > 1) {
-      sim::ParallelSimulator psim(eval, 424242 + e, partitions);
-      const std::uint32_t lps = psim.num_lps();
-      std::vector<std::optional<rl::ActorCritic>> lp_nets(lps);
-      std::vector<std::unique_ptr<sim::Coordinator>> lp_coords;
-      for (std::uint32_t p = 0; p < lps; ++p) {
-        if (algo == "dist") {
-          lp_nets[p] = policy->instantiate();
-          lp_coords.push_back(std::make_unique<core::DistributedDrlCoordinator>(
-              *lp_nets[p], scenario.network().max_degree()));
-        } else if (algo == "gcasp") {
-          lp_coords.push_back(std::make_unique<baselines::GcaspCoordinator>());
-        } else {
-          lp_coords.push_back(std::make_unique<baselines::ShortestPathCoordinator>());
-        }
-      }
-      check::AuditorOptions audit_options;
-      audit_options.partitioned = true;
-      std::vector<check::InvariantAuditor> auditors(lps,
-                                                    check::InvariantAuditor(audit_options));
-      std::vector<check::EventDigest> digests(
-          lps, check::EventDigest(check::EventDigest::Mode::kPartitionLocal));
-      std::vector<check::HookChain> chains(lps);
-      std::vector<sim::Coordinator*> coord_ptrs;
-      std::vector<sim::FlowObserver*> observers;
-      for (std::uint32_t p = 0; p < lps; ++p) {
-        psim.lp(p).enable_decision_timing(telemetry::enabled());
-        if (audit) {
-          chains[p].add(&auditors[p]);
-          chains[p].add(&digests[p]);
-          psim.lp(p).set_audit_hook(&chains[p]);
-          observers.push_back(&auditors[p]);
-        }
-        coord_ptrs.push_back(lp_coords[p].get());
-      }
-      const sim::SimMetrics m = psim.run(coord_ptrs, observers);
-      EpisodeOut& out = results[e];
-      out.success = m.success_ratio();
-      out.has_delay = m.e2e_delay.count() > 0;
-      if (out.has_delay) out.delay = m.e2e_delay.mean();
-      if (audit) {
-        // Order-sensitive combination of the per-LP partition digests: a
-        // stable episode fingerprint for a fixed (seed, K).
-        std::uint64_t combined = 0;
-        std::ostringstream report;
-        for (std::uint32_t p = 0; p < lps; ++p) {
-          combined = check::mix64(combined ^ digests[p].digest());
-          out.violations += auditors[p].total_violations();
-          if (p > 0) report << "; ";
-          report << "lp" << p << ": " << auditors[p].report();
-        }
-        out.digest = combined;
-        out.audit_report = report.str();
-      }
-      if (stats) {
-        sim::Simulator::EngineStats& agg = out.engine;
-        for (std::uint32_t p = 0; p < lps; ++p) {
-          const sim::Simulator::EngineStats s = psim.lp(p).engine_stats();
-          agg.peak_event_heap += s.peak_event_heap;
-          agg.peak_live_flows += s.peak_live_flows;
-          agg.flow_slots += s.flow_slots;
-          agg.hold_slots += s.hold_slots;
-          agg.flows_recycled += s.flows_recycled;
-          agg.holds_recycled += s.holds_recycled;
-          agg.events_skipped += s.events_skipped;
-          agg.heap_compactions += s.heap_compactions;
-        }
-      }
-      return;
-    }
     sim::Simulator sim(eval, 424242 + e);
     // With telemetry on, time every decision so the snapshot's
     // sim.decision_us histogram is populated.

@@ -1,7 +1,6 @@
 #include "core/batched_episode.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace dosc::core {
 
@@ -10,7 +9,7 @@ bool YieldingEpisode::advance_to_decision() {
     started_ = true;
     sim_.start(*coordinator_, observer_);
   }
-  return sim_.advance_to_decision(std::numeric_limits<double>::infinity());
+  return sim_.advance_to_decision();
 }
 
 void YieldingEpisode::write_observation(std::span<double> out) {

@@ -111,16 +111,20 @@ LinkId NetworkBuilder::add_link(NodeId a, NodeId b, double delay, double capacit
     throw std::invalid_argument("NetworkBuilder: link endpoint out of range");
   }
   if (a == b) throw std::invalid_argument("NetworkBuilder: self-loop");
-  if (has_link(a, b)) throw std::invalid_argument("NetworkBuilder: duplicate link");
+  if (!link_keys_.insert(link_key(a, b)).second) {
+    throw std::invalid_argument("NetworkBuilder: duplicate link");
+  }
   links_.push_back({a, b, delay, capacity});
   return static_cast<LinkId>(links_.size() - 1);
 }
 
+std::uint64_t NetworkBuilder::link_key(NodeId a, NodeId b) noexcept {
+  if (a > b) std::swap(a, b);
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
 bool NetworkBuilder::has_link(NodeId a, NodeId b) const noexcept {
-  for (const Link& l : links_) {
-    if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) return true;
-  }
-  return false;
+  return link_keys_.count(link_key(a, b)) != 0;
 }
 
 std::size_t NetworkBuilder::degree(NodeId v) const {

@@ -12,6 +12,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -125,9 +126,15 @@ class NetworkBuilder {
   Network build() &&;
 
  private:
+  /// Undirected endpoint pair of a link, (min << 32) | max.
+  static std::uint64_t link_key(NodeId a, NodeId b) noexcept;
+
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<Link> links_;
+  /// link_key of every link, so has_link is O(1): the Waxman WAN generator
+  /// asks once per node pair.
+  std::unordered_set<std::uint64_t> link_keys_;
 };
 
 /// Euclidean distance between two nodes' planar coordinates.

@@ -65,6 +65,38 @@ TEST(InvariantAuditor, DetectsOutOfOrderEventStream) {
   EXPECT_NE(auditor.report().find("out of scheduling order"), std::string::npos);
 }
 
+TEST(InvariantAuditor, DetectsUnaccountedWaiting) {
+  // Feed crafted lifecycle callbacks directly: two flows each process one
+  // component (5 ms, startup 3 ms) and cross one 2 ms link. A completion
+  // whose waiting equals the startup bound is legal; one that waited a
+  // millisecond longer must be flagged by the delay decomposition.
+  const sim::Scenario scenario = test::tiny_scenario(
+      test::line3(), test::one_component_catalog(5.0, /*startup=*/3.0),
+      {.ingress = {0}, .egress = 2, .end_time = 100.0});
+  sim::Simulator sim(scenario, 1);  // never run; provides consistent state
+  InvariantAuditor auditor;
+  auditor.on_episode_start(sim);
+  sim::Flow flow;
+  flow.service = 0;
+  flow.arrival_time = 10.0;
+  flow.deadline = 100.0;
+  flow.chain_pos = 1;  // past its only component
+  for (const sim::FlowId id : {1, 2}) {
+    flow.id = id;
+    auditor.on_component_processed(flow, 0, 0.0);
+    auditor.on_forwarded(flow, 0, 0, 0.0);
+  }
+  flow.id = 1;
+  auditor.on_completed(flow, 10.0 + 5.0 + 2.0 + 3.0);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  flow.id = 2;
+  auditor.on_completed(flow, 10.0 + 5.0 + 2.0 + 3.0 + 1.0);
+  EXPECT_EQ(auditor.total_violations(), 1u);
+  EXPECT_NE(auditor.report().find("flow 2 has"), std::string::npos) << auditor.report();
+  EXPECT_NE(auditor.report().find("unaccounted waiting (> startup bound"), std::string::npos)
+      << auditor.report();
+}
+
 TEST(EventDigest, ReproducibleAndSeedSensitive) {
   const sim::Scenario scenario = sim::make_base_scenario(2).with_end_time(1000.0);
   InvariantAuditor a1, a2, a3;

@@ -33,9 +33,15 @@ TEST(NetworkBuilder, RejectsDuplicateLinkEitherDirection) {
   NetworkBuilder b("t");
   const NodeId a = b.add_node("a");
   const NodeId c = b.add_node("c");
+  const NodeId d = b.add_node("d");
+  EXPECT_FALSE(b.has_link(a, c));
   b.add_link(a, c, 1.0, 1.0);
+  EXPECT_TRUE(b.has_link(a, c));
+  EXPECT_TRUE(b.has_link(c, a));
+  EXPECT_FALSE(b.has_link(a, d));
   EXPECT_THROW(b.add_link(a, c, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(b.add_link(c, a, 1.0, 1.0), std::invalid_argument);
+  EXPECT_EQ(b.num_links(), 1u);
 }
 
 TEST(NetworkBuilder, RejectsOutOfRangeEndpoint) {
