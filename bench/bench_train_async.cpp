@@ -6,6 +6,8 @@
 //  1. Sync baseline: the synchronous trainer's inner loop (l sequential
 //     episodes -> merge -> update, no eval) timed end to end. Reports
 //     env_steps/s and updates/s — the denominator for every speedup below.
+//     Its updates run on the whole compute pool (nn::compute_threads()),
+//     which its learner_threads column reports.
 //  2. Async worker sweep (1/2/4/8 persistent rollout workers): the same
 //     episode workload through rl::AsyncTrainer — lock-free SPSC chunk
 //     queues, epoch-published snapshots, clipped-IS staleness correction.
@@ -20,7 +22,13 @@
 //     (on a 1-core container the 8-worker point measures scheduling
 //     overhead, not scale-out — see EXPERIMENTS.md).
 //
+// Sections 1 and 2 run kRepeats times, the sync baseline and the async
+// points alternating (each repeat reverses the order), and report the
+// median run of each point: single runs of identical code spread by up to
+// 1.8x on a shared host.
+//
 // DOSC_BENCH_SMOKE=1 (CI) shortens horizons but exercises every section.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +43,7 @@
 #include "core/drl_env.hpp"
 #include "core/observation.hpp"
 #include "core/trainer.hpp"
+#include "nn/parallel.hpp"
 #include "rl/async_trainer.hpp"
 #include "rl/rollout.hpp"
 #include "rl/updater.hpp"
@@ -58,6 +67,8 @@ bool smoke() {
 double episode_time() { return smoke() ? 300.0 : 1000.0; }
 std::size_t bench_updates() { return smoke() ? 4 : 30; }
 constexpr std::size_t kEpisodesPerUpdate = 4;
+/// Runs of every sync and async point; each reports its median run.
+constexpr std::size_t kRepeats = 3;
 constexpr std::uint64_t kSeedBase = 20260807;
 
 sim::Scenario bench_scenario() {
@@ -114,7 +125,7 @@ ThroughputResult run_sync(const sim::Scenario& scenario) {
   rl::Batch merged;
   ThroughputResult result;
   result.workers = 1;
-  result.learner_threads = 1;
+  result.learner_threads = nn::compute_threads();
   const util::Timer timer;
   for (std::size_t update = 0; update < bench_updates(); ++update) {
     for (std::size_t e = 0; e < kEpisodesPerUpdate; ++e) {
@@ -240,8 +251,39 @@ int main() {
   const sim::Scenario scenario = bench_scenario();
   util::Json::Array entries;
 
-  // ---- Section 1: sync baseline ----------------------------------------
-  const ThroughputResult sync_result = run_sync(scenario);
+  // ---- Sections 1 and 2: sync baseline and async points, alternating ---
+  // Point 0 is the sync baseline; then the async worker sweep and the
+  // batched workers (envs_per_worker > 1).
+  struct Point {
+    std::size_t workers;  ///< 0 for the sync baseline
+    std::size_t envs_per_worker;
+    std::vector<ThroughputResult> runs;
+  };
+  std::vector<Point> points{{0, 1, {}}, {1, 1, {}}, {2, 1, {}}, {4, 1, {}},
+                            {8, 1, {}}, {1, 2, {}}, {1, 4, {}}, {1, 8, {}}};
+  for (std::size_t repeat = 0; repeat < kRepeats; ++repeat) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      Point& p = points[repeat % 2 == 0 ? i : points.size() - 1 - i];
+      p.runs.push_back(p.workers == 0 ? run_sync(scenario)
+                                      : run_async(scenario, p.workers, p.envs_per_worker));
+    }
+  }
+  // The median run by env_steps/s, and every run's rate for the spread.
+  const auto median_run = [](const Point& p) {
+    std::vector<ThroughputResult> runs = p.runs;
+    std::sort(runs.begin(), runs.end(), [](const ThroughputResult& a, const ThroughputResult& b) {
+      return a.steps_per_sec() < b.steps_per_sec();
+    });
+    return runs[runs.size() / 2];
+  };
+  const auto run_rates = [](const Point& p) {
+    util::Json::Array rates;
+    for (const ThroughputResult& r : p.runs) rates.emplace_back(r.steps_per_sec());
+    return util::Json(std::move(rates));
+  };
+
+  const ThroughputResult sync_result = median_run(points[0]);
+  std::printf("medians of %zu alternating runs\n", kRepeats);
   std::printf("%-12s %8s %8s %12s %11s %10s %8s\n", "mode", "workers", "learner",
               "env_steps/s", "updates/s", "staleness", "speedup");
   std::printf("%-12s %8zu %8zu %12.0f %11.2f %10s %8s\n", "sync", sync_result.workers,
@@ -250,6 +292,9 @@ int main() {
   entries.push_back(util::Json(util::Json::Object{
       {"kind", util::Json(std::string("sync_baseline"))},
       {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
+      {"learner_threads", util::Json(sync_result.learner_threads)},
+      {"repeats", util::Json(kRepeats)},
+      {"env_steps_per_sec_runs", run_rates(points[0])},
       {"updates", util::Json(sync_result.updates)},
       {"env_steps", util::Json(sync_result.env_steps)},
       {"wall_ms", util::Json(sync_result.wall_ms)},
@@ -257,29 +302,18 @@ int main() {
       {"updates_per_sec", util::Json(sync_result.updates_per_sec())},
   }));
 
-  // ---- Section 2: async worker sweep -----------------------------------
-  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const ThroughputResult r = run_async(scenario, workers);
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    const Point& p = points[i];
+    const ThroughputResult r = median_run(p);
     const double speedup =
         sync_result.steps_per_sec() > 0.0 ? r.steps_per_sec() / sync_result.steps_per_sec()
                                           : 0.0;
-    std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx\n", "async", r.workers,
-                r.learner_threads, r.steps_per_sec(), r.updates_per_sec(),
-                r.mean_staleness, speedup);
-    // True oversubscription only: more than one worker AND the resolved
-    // partition does not fit the machine. The 1-worker point on a 1-core
-    // host runs the minimum viable worker+learner pair — timeshared, but
-    // not an oversubscribed sweep point.
-    const rl::ThreadBudget budget = rl::resolve_thread_budget(workers, 0, hw);
-    const bool oversubscribed =
-        hw > 0 && budget.workers > 1 && budget.workers + budget.learner_threads > hw;
-    entries.push_back(util::Json(util::Json::Object{
-        {"kind", util::Json(std::string("async_sweep"))},
-        {"requested_workers", util::Json(workers)},
+    util::Json::Object entry{
         {"workers", util::Json(r.workers)},
         {"learner_threads", util::Json(r.learner_threads)},
         {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
-        {"oversubscribed", util::Json(oversubscribed)},
+        {"repeats", util::Json(kRepeats)},
+        {"env_steps_per_sec_runs", run_rates(p)},
         {"updates", util::Json(r.updates)},
         {"env_steps", util::Json(r.env_steps)},
         {"wall_ms", util::Json(r.wall_ms)},
@@ -287,37 +321,35 @@ int main() {
         {"updates_per_sec", util::Json(r.updates_per_sec())},
         {"mean_staleness", util::Json(r.mean_staleness)},
         {"speedup_vs_sync", util::Json(speedup)},
-    }));
-  }
-
-  // ---- Section 2b: batched workers (envs_per_worker sweep) --------------
-  // Each worker drives B concurrent envs through fused forwards; the
-  // mean_envs_per_round column shows how many episodes one staleness-gate
-  // pass delivered — the larger merged update windows the batched mode
-  // exists to produce.
-  for (const std::size_t envs : {2u, 4u, 8u}) {
-    const ThroughputResult r = run_async(scenario, /*workers=*/1, envs);
-    const double speedup =
-        sync_result.steps_per_sec() > 0.0 ? r.steps_per_sec() / sync_result.steps_per_sec()
-                                          : 0.0;
-    std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx  (B=%zu, %.2f envs/round)\n",
-                "async_batch", r.workers, r.learner_threads, r.steps_per_sec(),
-                r.updates_per_sec(), r.mean_staleness, speedup, envs, r.mean_envs_per_round);
-    entries.push_back(util::Json(util::Json::Object{
-        {"kind", util::Json(std::string("async_batched_sweep"))},
-        {"envs_per_worker", util::Json(envs)},
-        {"workers", util::Json(r.workers)},
-        {"learner_threads", util::Json(r.learner_threads)},
-        {"hardware_threads", util::Json(static_cast<std::size_t>(hw))},
-        {"mean_envs_per_round", util::Json(r.mean_envs_per_round)},
-        {"updates", util::Json(r.updates)},
-        {"env_steps", util::Json(r.env_steps)},
-        {"wall_ms", util::Json(r.wall_ms)},
-        {"env_steps_per_sec", util::Json(r.steps_per_sec())},
-        {"updates_per_sec", util::Json(r.updates_per_sec())},
-        {"mean_staleness", util::Json(r.mean_staleness)},
-        {"speedup_vs_sync", util::Json(speedup)},
-    }));
+    };
+    if (p.envs_per_worker == 1) {
+      std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx\n", "async", r.workers,
+                  r.learner_threads, r.steps_per_sec(), r.updates_per_sec(),
+                  r.mean_staleness, speedup);
+      // True oversubscription only: more than one worker AND the resolved
+      // partition does not fit the machine. The 1-worker point on a 1-core
+      // host runs the minimum viable worker+learner pair — timeshared, but
+      // not an oversubscribed sweep point.
+      const rl::ThreadBudget budget = rl::resolve_thread_budget(p.workers, 0, hw);
+      const bool oversubscribed =
+          hw > 0 && budget.workers > 1 && budget.workers + budget.learner_threads > hw;
+      entry["kind"] = util::Json(std::string("async_sweep"));
+      entry["requested_workers"] = util::Json(p.workers);
+      entry["oversubscribed"] = util::Json(oversubscribed);
+    } else {
+      // Each worker drives B concurrent envs through fused forwards; the
+      // mean_envs_per_round column shows how many episodes one
+      // staleness-gate pass delivered — the larger merged update windows
+      // the batched mode exists to produce.
+      std::printf("%-12s %8zu %8zu %12.0f %11.2f %10.2f %7.2fx  (B=%zu, %.2f envs/round)\n",
+                  "async_batch", r.workers, r.learner_threads, r.steps_per_sec(),
+                  r.updates_per_sec(), r.mean_staleness, speedup, p.envs_per_worker,
+                  r.mean_envs_per_round);
+      entry["kind"] = util::Json(std::string("async_batched_sweep"));
+      entry["envs_per_worker"] = util::Json(p.envs_per_worker);
+      entry["mean_envs_per_round"] = util::Json(r.mean_envs_per_round);
+    }
+    entries.push_back(util::Json(std::move(entry)));
   }
 
   // ---- Section 3: lockstep bit-parity ----------------------------------

@@ -15,6 +15,15 @@
 //    through the seed-style naive reference loops — the kernel-level
 //    speedup in isolation.
 //
+//  * Update phases (custom section after the google-benchmark runs): one
+//    update of the 2x256 actor-critic at 2,306 rows, perfbench train's
+//    mean rows per update, split per net into forward, backward, K-FAC
+//    factors and K-FAC step, plus the whole Updater::update. Each is timed
+//    at 1 thread, 2 threads and all hardware threads; Amdahl's law through
+//    the 1- and 2-thread times, T(p) = S + P / p, gives the serial part
+//    S = 2 T(2) - T(1). Written to BENCH_train_step.json as
+//    "update_phases".
+//
 // Each family records per-iteration wall clock into a telemetry histogram
 // (p50_ms/p99_ms counters) and derives GFLOP/s from the gemm::flop_count()
 // delta across the timed region. The custom main dumps everything to
@@ -26,14 +35,17 @@
 // two iterations each — enough to exercise the code and emit the JSON.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <thread>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "nn/gemm.hpp"
+#include "nn/kfac.hpp"
 #include "nn/matrix.hpp"
 #include "nn/parallel.hpp"
 #include "rl/actor_critic.hpp"
@@ -209,11 +221,146 @@ static void BM_GemmReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmReference)->Unit(benchmark::kMillisecond);
 
+namespace {
+
+/// perfbench train's mean rows per update (6,918 env steps per 3 updates).
+constexpr std::size_t kPhaseBatch = 2306;
+constexpr const char* kPhases[] = {"forward", "backward", "kfac_factors", "kfac_step"};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+/// Thread counts of the phase section: 1, 2 and all hardware threads.
+constexpr std::size_t kThreadCounts = 3;
+
+/// Median milliseconds of each phase of one net's part of an ACKTR update
+/// (the Updater's sequence: forward, backward and gradient clip, K-FAC
+/// factors, K-FAC step), [thread count][phase]. The thread counts take
+/// turns within each repetition, so drift on a shared host hits all alike.
+std::vector<std::vector<double>> net_phase_ms(bool critic, const std::size_t* counts,
+                                              int reps) {
+  struct Setup {
+    rl::ActorCritic policy = make_policy();
+    nn::Kfac kfac;
+    std::vector<std::vector<double>> ms = std::vector<std::vector<double>>(4);
+  };
+  nn::KfacConfig config;  // the Updater's: the critic's trust region is 10x wider
+  if (critic) config.kl_clip *= 10.0;
+  std::vector<Setup> setups;
+  for (std::size_t t = 0; t < kThreadCounts; ++t) setups.push_back(Setup{make_policy(), nn::Kfac(config)});
+  util::Rng rng(7);
+  const rl::Batch batch = make_batch(kPhaseBatch, rng);
+  const std::size_t outputs = critic ? 1 : kNumActions;
+  nn::Matrix grad(kPhaseBatch, outputs);
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    grad.data()[i] = rng.normal(0.0, 1.0) / static_cast<double>(kPhaseBatch);
+  }
+  for (int rep = -1; rep < reps; ++rep) {  // rep -1 warms the workspaces
+    for (std::size_t t = 0; t < kThreadCounts; ++t) {
+      nn::ComputeThreadsGuard guard(counts[t]);
+      Setup& s = setups[t];
+      nn::Mlp& net = critic ? s.policy.critic() : s.policy.actor();
+      util::Timer timer;
+      net.zero_grad();
+      net.forward(batch.obs);
+      const double t_forward = timer.elapsed_millis();
+      net.backward(grad);
+      net.clip_grad_norm(0.5);
+      const double t_backward = timer.elapsed_millis();
+      s.kfac.update_factors(net);
+      const double t_factors = timer.elapsed_millis();
+      s.kfac.step(net);
+      const double t_step = timer.elapsed_millis();
+      if (rep < 0) continue;
+      s.ms[0].push_back(t_forward);
+      s.ms[1].push_back(t_backward - t_forward);
+      s.ms[2].push_back(t_factors - t_backward);
+      s.ms[3].push_back(t_step - t_factors);
+    }
+  }
+  std::vector<std::vector<double>> out;
+  for (const Setup& s : setups) {
+    out.emplace_back();
+    for (const auto& v : s.ms) out.back().push_back(median(v));
+  }
+  return out;
+}
+
+/// Median milliseconds of a whole Updater::update per thread count, the
+/// counts taking turns as in net_phase_ms.
+std::vector<double> update_ms(const std::size_t* counts, int reps) {
+  util::Rng rng(7);
+  const rl::Batch batch = make_batch(kPhaseBatch, rng);
+  std::vector<rl::ActorCritic> policies;
+  std::vector<rl::Updater> updaters;
+  std::vector<std::vector<double>> ms(kThreadCounts);
+  for (std::size_t t = 0; t < kThreadCounts; ++t) {
+    policies.push_back(make_policy());
+    updaters.emplace_back(rl::UpdaterConfig{});
+  }
+  for (int rep = -1; rep < reps; ++rep) {
+    for (std::size_t t = 0; t < kThreadCounts; ++t) {
+      nn::ComputeThreadsGuard guard(counts[t]);
+      const util::Timer timer;
+      updaters[t].update(policies[t], batch);
+      if (rep >= 0) ms[t].push_back(timer.elapsed_millis());
+    }
+  }
+  std::vector<double> out;
+  for (const auto& v : ms) out.push_back(median(v));
+  return out;
+}
+
+util::Json phase_entry(double ms_1, double ms_2, double ms_all) {
+  return util::Json(util::Json::Object{
+      {"ms_1_thread", util::Json(ms_1)},
+      {"ms_2_threads", util::Json(ms_2)},
+      {"ms_all_threads", util::Json(ms_all)},
+      {"serial_ms", util::Json(2.0 * ms_2 - ms_1)},
+  });
+}
+
+/// The update_phases section of BENCH_train_step.json; also printed.
+util::Json update_phases() {
+  const int reps = smoke() ? 2 : 15;
+  const std::size_t all = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t counts[kThreadCounts] = {1, 2, all};
+  std::printf("\nACKTR update phases at batch %zu (medians of %d, ms; serial = 2 T2 - T1)\n",
+              kPhaseBatch, reps);
+  util::Json::Object nets;
+  for (const bool critic : {false, true}) {
+    const auto by_threads = net_phase_ms(critic, counts, reps);
+    util::Json::Object phases;
+    for (std::size_t p = 0; p < 4; ++p) {
+      const double t1 = by_threads[0][p], t2 = by_threads[1][p], tn = by_threads[2][p];
+      std::printf("  %-6s %-12s 1 thr %7.2f  2 thr %7.2f  %zu thr %7.2f  serial %7.2f\n",
+                  critic ? "critic" : "actor", kPhases[p], t1, t2, all, tn, 2.0 * t2 - t1);
+      phases[kPhases[p]] = phase_entry(t1, t2, tn);
+    }
+    nets[critic ? "critic" : "actor"] = util::Json(std::move(phases));
+  }
+  const std::vector<double> u = update_ms(counts, reps);
+  std::printf("  update              1 thr %7.2f  2 thr %7.2f  %zu thr %7.2f  serial %7.2f\n",
+              u[0], u[1], all, u[2], 2.0 * u[1] - u[0]);
+  return util::Json(util::Json::Object{
+      {"batch", util::Json(kPhaseBatch)},
+      {"all_threads", util::Json(all)},
+      {"repetitions", util::Json(static_cast<std::size_t>(reps))},
+      {"nets", util::Json(std::move(nets))},
+      {"update", phase_entry(u[0], u[1], u[2])},
+  });
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  util::Json phases = update_phases();
 
   if (!results().empty()) {
     util::Json::Array entries;
@@ -238,6 +385,7 @@ int main(int argc, char** argv) {
         {"isa", util::Json(nn::gemm::isa_name())},
         {"smoke", util::Json(smoke())},
         {"results", util::Json(std::move(entries))},
+        {"update_phases", std::move(phases)},
     });
     doc.save_file("BENCH_train_step.json", 2);
   }

@@ -111,7 +111,8 @@ std::vector<double>& panel_buffer() {
   return buf;
 }
 
-std::vector<double>& transpose_buffer() {
+/// nt()'s packed B^T slab.
+std::vector<double>& slab_buffer() {
   thread_local std::vector<double> buf;
   return buf;
 }
@@ -186,6 +187,19 @@ void run_tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::s
   };
   const std::size_t per_row_macs = std::max<std::size_t>(1, n * k);
   const std::size_t min_rows = (kMinMacsPerChunk + per_row_macs - 1) / per_row_macs;
+  if (!upper_only && m < n) {
+    // Wide and short (the first layer's weight gradient, m = 20): split
+    // the columns, so each chunk reads only its columns of B. Every chunk
+    // packs all of A^T; each element's reduction is unchanged.
+    const std::size_t per_col_macs = std::max<std::size_t>(1, m * k);
+    const std::size_t min_cols = (kMinMacsPerChunk + per_col_macs - 1) / per_col_macs;
+    const std::size_t nr = gemm_baseline::kNr;
+    parallel_for_rows(n, std::max(min_cols, nr), nr, [&](std::size_t j0, std::size_t j1) {
+      ks.tn_rows(0, m, j1 - j0, k, a, lda, b + j0, ldb, c + j0, ldc, accumulate,
+                 /*upper_only=*/false, t_work.d);
+    });
+    return;
+  }
   if (!upper_only) {
     parallel_for_rows(m, std::max(min_rows, ks.tn_mr), ks.tn_mr, rows);
     return;
@@ -231,6 +245,20 @@ void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
                     });
 }
 
+void pack_bt(std::size_t k, std::size_t n, const double* bt, std::size_t ldbt, double* bp) {
+  // Panel j0 / kNr holds B[p][j0 + jj] = bt[j0 + jj][p] at p * kNr + jj,
+  // zero-padded past n: the layout of pack_b_slab.
+  constexpr std::size_t kNr = gemm_baseline::kNr;
+  for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
+    const std::size_t nc = std::min(kNr, n - j0);
+    double* panel = bp + (j0 / kNr) * k * kNr;
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t jj = 0; jj < nc; ++jj) panel[p * kNr + jj] = bt[(j0 + jj) * ldbt + p];
+      for (std::size_t jj = nc; jj < kNr; ++jj) panel[p * kNr + jj] = 0.0;
+    }
+  }
+}
+
 void tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
         const double* b, std::size_t ldb, double* c, std::size_t ldc, bool accumulate) {
   record(m, n, k);
@@ -239,18 +267,19 @@ void tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_
 
 void nt(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
         const double* b, std::size_t ldb, double* c, std::size_t ldc, bool accumulate) {
-  record(m, n, k);
-  if (m == 0 || n == 0) return;
-  // B^T is materialised once into per-thread scratch (O(n*k), negligible next
-  // to the O(m*n*k) product), then the row-tiled NN path runs over it. The
-  // per-element reduction order is unchanged: ascending k, one accumulator.
-  std::vector<double>& bt = transpose_buffer();
-  if (bt.size() < n * k) bt.resize(n * k);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* brow = b + j * ldb;
-    for (std::size_t p = 0; p < k; ++p) bt[p * n + j] = brow[p];
+  if (m == 0 || n == 0) {
+    record(m, n, k);
+    return;
   }
-  run_tiled(m, n, k, a, lda, 1, bt.data(), n, c, ldc, accumulate);
+  // B^T is packed once, straight from B's rows, into per-thread scratch
+  // (O(n*k), negligible next to the O(m*n*k) product); the packed NN path
+  // then runs over it. The panels are the ones nn() would pack from an
+  // explicit B^T, so each element's reduction (ascending k, one
+  // accumulator) is unchanged.
+  std::vector<double>& slab = slab_buffer();
+  if (slab.size() < packed_b_size(k, n)) slab.resize(packed_b_size(k, n));
+  pack_bt(k, n, b, ldb, slab.data());
+  nn_packed(m, n, k, a, lda, slab.data(), c, ldc, accumulate);
 }
 
 void gram(std::size_t m, std::size_t k, const double* a, std::size_t lda, double* c,

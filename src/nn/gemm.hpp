@@ -42,13 +42,19 @@ void pack_b(std::size_t k, std::size_t n, const double* b, std::size_t ldb, doub
 void nn_packed(std::size_t m, std::size_t n, std::size_t k, const double* a,
                std::size_t lda, const double* bp, double* c, std::size_t ldc,
                bool accumulate);
+/// pack_b of B = bt^T, with bt stored [n x k]: the slab of the transposed
+/// matrix, packed straight from the rows of bt (no strided transpose).
+/// nn_packed over it is bit-identical to nt(..., bt, ...).
+void pack_bt(std::size_t k, std::size_t n, const double* bt, std::size_t ldbt, double* bp);
 
 /// k-steps per block of the tn()/gram() path, which packs A^T in blocks
 /// and carries each element's partial sum between k-blocks (tests probe
 /// the block edges).
 inline constexpr std::size_t kTnBlockK = 256;
 
-/// C[m x n] (+)= A^T * B with A stored [k x m].
+/// C[m x n] (+)= A^T * B with A stored [k x m]. Products at least as wide
+/// as they are tall split by columns, so a chunk streams only its own
+/// columns of B; taller ones split by rows.
 void tn(std::size_t m, std::size_t n, std::size_t k, const double* a, std::size_t lda,
         const double* b, std::size_t ldb, double* c, std::size_t ldc, bool accumulate);
 

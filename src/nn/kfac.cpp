@@ -1,6 +1,7 @@
 #include "nn/kfac.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,8 +23,8 @@ void Kfac::update_factors(Mlp& net) {
   auto& layers = net.layers();
   if (factors_.size() != layers.size()) factors_.resize(layers.size());
 
-  for (const DenseLayer& layer : layers) {
-    if (layer.input.empty() || layer.grad_preact.empty()) {
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    if (net.layer_input(li).empty() || layers[li].grad_preact.empty()) {
       throw std::logic_error("Kfac::update_factors: no cached forward/backward pass");
     }
   }
@@ -34,10 +35,11 @@ void Kfac::update_factors(Mlp& net) {
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const DenseLayer& layer = layers[li];
     LayerFactors& f = factors_[li];
-    const std::size_t batch_n = layer.input.rows();
-    const std::size_t in = layer.input.cols();
+    const Matrix& input = net.layer_input(li);
+    const std::size_t batch_n = input.rows();
+    const std::size_t in = input.cols();
     const double batch = static_cast<double>(batch_n);
-    const double* x = layer.input.data();
+    const double* x = input.data();
 
     // A_batch = augᵀ aug / batch with aug = [X | 1], computed without
     // materialising aug: the in x in block is Xᵀ X written into the top-left
@@ -46,13 +48,10 @@ void Kfac::update_factors(Mlp& net) {
     Matrix& ab = f.a_batch;
     ab.ensure_shape(in + 1, in + 1);
     gemm::gram(in, batch_n, x, in, ab.data(), in + 1);
-    for (std::size_t j = 0; j < in; ++j) ab(in, j) = 0.0;
-    for (std::size_t r = 0; r < batch_n; ++r) {
-      const double* xrow = x + r * in;
-      double* sums = ab.data() + in * (in + 1);
-      for (std::size_t j = 0; j < in; ++j) sums[j] += xrow[j];
-    }
-    for (std::size_t j = 0; j < in; ++j) ab(j, in) = ab(in, j);
+    f.sums.ensure_shape(1, in);
+    f.sums.fill(0.0);
+    add_column_sums(f.sums, input);
+    for (std::size_t j = 0; j < in; ++j) ab(in, j) = ab(j, in) = f.sums(0, j);
     ab(in, in) = batch;
     for (std::size_t i = 0; i < ab.size(); ++i) ab.data()[i] /= batch;
 
@@ -88,10 +87,38 @@ void Kfac::step(Mlp& net) {
   }
 
   // Per-layer natural gradient v_l = A⁻¹ Ḡ_l G⁻¹ with factored damping
-  // (pi-splitting, Martens & Grosse 2015). One layer at a time: the
-  // Cholesky factorisations, the substitutions and the GEMMs split their own
-  // work across the compute pool. Every intermediate lives in the layer's
-  // workspaces, so the step allocates nothing at steady state.
+  // (pi-splitting, Martens & Grosse 2015). The damped A and G of every
+  // layer are factored at once, one factorisation per chunk of a single
+  // fork: a factorisation of order 256 is too short to split, but whole
+  // ones keep every pool thread busy. The solves and GEMMs after it, one
+  // layer at a time, split their own work. Every intermediate lives in the
+  // layer's workspaces, so the step allocates nothing at steady state.
+  const double damp = std::sqrt(config_.damping);
+  const auto pi_of = [](const LayerFactors& f) {
+    const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
+    const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
+    return std::sqrt(tr_a / tr_g);
+  };
+  // A chunk must not throw across the pool: a factor that fails even with
+  // the damping retries is recorded and rethrown after the join.
+  std::atomic<bool> failed{false};
+  parallel_chunks(2 * layers.size(), [&](std::size_t i) {
+    LayerFactors& f = factors_[i / 2];
+    const double pi = pi_of(f);
+    try {
+      if (i % 2 == 0) {
+        cholesky_factor(f.chol_a, f.a, pi * damp);
+      } else {
+        cholesky_factor(f.chol_g, f.g, damp / pi);
+      }
+    } catch (const std::runtime_error&) {
+      failed.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (failed.load(std::memory_order_relaxed)) {
+    throw std::runtime_error("cholesky_solve: matrix not positive definite");
+  }
+
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const DenseLayer& layer = layers[li];
     LayerFactors& f = factors_[li];
@@ -99,30 +126,20 @@ void Kfac::step(Mlp& net) {
     const std::size_t out = layer.fan_out();
 
     // Stack weight and bias gradients into the combined [(in+1) x out]
-    // block matching the augmented-input convention.
-    Matrix& grad = f.grad;
-    grad.ensure_shape(in + 1, out);
-    for (std::size_t i = 0; i < in; ++i) {
-      const double* src = layer.grad_weights.data() + i * out;
-      double* dst = grad.data() + i * out;
-      for (std::size_t j = 0; j < out; ++j) dst[j] = src[j];
-    }
-    for (std::size_t j = 0; j < out; ++j) grad(in, j) = layer.grad_bias(0, j);
-
-    const double tr_a = std::max(trace(f.a) / static_cast<double>(f.a.rows()), 1e-12);
-    const double tr_g = std::max(trace(f.g) / static_cast<double>(f.g.rows()), 1e-12);
-    const double pi = std::sqrt(tr_a / tr_g);
-    const double damp = std::sqrt(config_.damping);
-
-    cholesky_solve_into(f.half, f.chol, f.a, grad, pi * damp);  // A⁻¹ Ḡ
-    transpose_into(f.half_t, f.half);
-    cholesky_solve_into(f.natural_t, f.chol, f.g, f.half_t, damp / pi);  // ... G⁻¹
-    transpose_into(f.natural, f.natural_t);
+    // block matching the augmented-input convention, then solve it in
+    // place: A⁻¹ Ḡ column by column, then (A⁻¹ Ḡ) G⁻¹ row by row, which
+    // is G⁻¹ (A⁻¹ Ḡ)ᵀ transposed (G is symmetric) without the transposes.
+    Matrix& v = f.natural;
+    v.ensure_shape(in + 1, out);
+    std::copy(layer.grad_weights.data(), layer.grad_weights.data() + in * out, v.data());
+    std::copy(layer.grad_bias.data(), layer.grad_bias.data() + out, v.data() + in * out);
+    cholesky_substitute(f.chol_a, v);
+    cholesky_substitute_right(f.chol_g, v);
 
     // vᵀ F v ≈ tr(vᵀ A v G): cheap via the already-damped solves' inputs.
-    matmul_into(f.av, f.a, f.natural);
+    matmul_into(f.av, f.a, v);
     matmul_into(f.avg, f.av, f.g);
-    f.quadratic = dot(f.natural, f.avg);
+    f.quadratic = dot(v, f.avg);
   }
 
   // vᵀ F̂ v, accumulated across layers in layer order.

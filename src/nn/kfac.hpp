@@ -51,12 +51,12 @@ class Kfac final : public Optimizer {
     // makes the factor update and the step allocation-free at steady state.
     Matrix a_batch;     ///< this batch's input covariance
     Matrix g_batch;     ///< this batch's gradient covariance
-    Matrix grad;        ///< stacked [ (in+1) x out ] weight+bias gradient
-    Matrix chol;        ///< Cholesky factor of the damped A, then of G
-    Matrix half;        ///< A⁻¹ Ḡ, [ (in+1) x out ]
-    Matrix half_t;      ///< its transpose
-    Matrix natural_t;   ///< G⁻¹ (A⁻¹ Ḡ)ᵀ, [ out x (in+1) ]
-    Matrix natural;     ///< per-layer natural gradient A⁻¹ Ḡ G⁻¹
+    Matrix sums;        ///< this batch's input column sums (A's border)
+    Matrix chol_a;      ///< Cholesky factor of the damped A
+    Matrix chol_g;      ///< Cholesky factor of the damped G
+    /// The stacked [ (in+1) x out ] weight+bias gradient Ḡ, solved in place
+    /// into the per-layer natural gradient A⁻¹ Ḡ G⁻¹.
+    Matrix natural;
     Matrix av;          ///< A v
     Matrix avg;         ///< A v G
     double quadratic = 0.0;  ///< this layer's contribution to vᵀ F v

@@ -120,8 +120,29 @@ double dot(const Matrix& a, const Matrix& b) noexcept;
 Matrix cholesky_solve(const Matrix& m, const Matrix& b, double damping);
 /// As cholesky_solve, into caller-owned X, with `l` as the factor's
 /// workspace: allocation-free once both have capacity. Neither may alias M
-/// or B.
+/// or B. Equal to cholesky_factor(l, m, damping), X = B, then
+/// cholesky_substitute(l, X).
 void cholesky_solve_into(Matrix& x, Matrix& l, const Matrix& m, const Matrix& b,
                          double damping);
+
+/// The two halves of cholesky_solve, for callers that factor several
+/// matrices at once or solve with one factor twice.
+///
+/// cholesky_factor: the Cholesky factor of (M + damping I), with
+/// cholesky_solve's damping retries, into `l` (L in the lower triangle, L^T
+/// mirrored into the upper one). The factorisation runs in register tiles,
+/// split across the compute pool for large orders; every element's chain
+/// of operations is the textbook left-looking one, so the factor is
+/// bit-identical to it. Throws std::runtime_error if M cannot be factorised.
+void cholesky_factor(Matrix& l, const Matrix& m, double damping);
+/// X <- (L L^T)^-1 X in place, X with l.rows() rows: every column solved
+/// independently, with column blocks split across the compute pool.
+void cholesky_substitute(const Matrix& l, Matrix& x);
+/// X <- X (L L^T)^-1 in place, X with l.rows() columns: every row solved as
+/// the column of X^T it is, with exactly that column's operations, so the
+/// result is bit-identical to transposing, cholesky_substitute and
+/// transposing back, without either transpose. Row blocks split across the
+/// compute pool.
+void cholesky_substitute_right(const Matrix& l, Matrix& x);
 
 }  // namespace dosc::nn

@@ -1,9 +1,11 @@
 #include "nn/mlp.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/gemm.hpp"
 #include "nn/gemv.hpp"
@@ -70,11 +72,13 @@ std::size_t Mlp::parameter_count(const std::vector<std::size_t>& layer_sizes) no
   return n;
 }
 
-Mlp::Mlp(const Mlp& other) : layers_(other.layers_), pack_(std::make_unique<PackCache>()) {}
+Mlp::Mlp(const Mlp& other)
+    : layers_(other.layers_), input_(other.input_), pack_(std::make_unique<PackCache>()) {}
 
 Mlp& Mlp::operator=(const Mlp& other) {
   if (this == &other) return *this;
   layers_ = other.layers_;
+  input_ = other.input_;
   if (pack_) {
     invalidate_pack();
   } else {
@@ -116,7 +120,9 @@ const Mlp::PackCache& Mlp::ensure_packed() const {
   return cache;
 }
 
-void Mlp::apply_activation(double* v, std::size_t count, Activation act) noexcept {
+namespace {
+
+void apply_activation(double* v, std::size_t count, Activation act) noexcept {
   switch (act) {
     case Activation::kLinear: return;
     case Activation::kTanh:
@@ -128,11 +134,90 @@ void Mlp::apply_activation(double* v, std::size_t count, Activation act) noexcep
   }
 }
 
-namespace {
+/// g[i] *= f'(pre-activation) for i in [begin, end), from the activation's
+/// output y: d(loss)/d(pre-activation) in place on the output gradient.
+void apply_derivative(double* g, const double* y, std::size_t begin, std::size_t end,
+                      Activation act) noexcept {
+  switch (act) {
+    case Activation::kLinear: return;
+    case Activation::kTanh:
+      for (std::size_t i = begin; i < end; ++i) g[i] *= (1.0 - y[i] * y[i]);
+      return;
+    case Activation::kRelu:
+      for (std::size_t i = begin; i < end; ++i) {
+        if (y[i] <= 0.0) g[i] = 0.0;
+      }
+      return;
+  }
+}
+
+/// The one batched forward behind forward() and predict_batch(): every
+/// layer over `batch` rows of `input` (row stride = the first layer's fan
+/// in), layer li writing row r at dst(li).first + r * dst(li).second.
+///
+/// Whole register tiles go through the GEMM over the packed slabs with the
+/// operation order of predict() (matmul, bias row add, activation); a
+/// chunk's 1-3 trailing rows take the packed GEMV, which beats the GEMM's
+/// partial-tile edge and is bit-identical per row. Rows split across the
+/// compute pool with one fork per forward: each chunk runs every layer on
+/// its own rows, so the whole network, not just its widest product, splits
+/// across the pool. Chunk starts stay tile-aligned, so only the last chunk
+/// can hold GEMV rows; the GEMM calls inside a chunk nest in this region
+/// and run inline.
+template <typename Dst>
+void forward_layers(const std::vector<DenseLayer>& layers,
+                    const std::vector<gemv::AlignedBuffer>& panels,
+                    const std::vector<gemv::AlignedBuffer>& slabs, const double* input,
+                    std::size_t batch, Dst dst) {
+  constexpr std::size_t kTileRows = Mlp::kTileRows;
+  const std::size_t last = layers.size() - 1;
+  const std::size_t in_size = layers.front().fan_in();
+  std::size_t row_macs = 0;
+  for (const DenseLayer& layer : layers) row_macs += layer.fan_in() * layer.fan_out();
+
+  const auto forward_rows = [&](std::size_t row0, std::size_t row1) {
+    const std::size_t tile_end = row0 + (row1 - row0) / kTileRows * kTileRows;
+    if (tile_end > row0) {
+      const std::size_t rows = tile_end - row0;
+      const double* cur = input + row0 * in_size;
+      std::size_t ld_cur = in_size;
+      for (std::size_t li = 0; li <= last; ++li) {
+        const DenseLayer& layer = layers[li];
+        const std::size_t n_out = layer.fan_out();
+        const auto [base, ld] = dst(li);
+        double* c = base + row0 * ld;
+        gemm::nn_packed(rows, n_out, layer.fan_in(), cur, ld_cur, slabs[li].data(), c, ld,
+                        /*accumulate=*/false);
+        const double* bias = layer.bias.data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          double* row = c + r * ld;
+          for (std::size_t j = 0; j < n_out; ++j) row[j] += bias[j];
+          apply_activation(row, n_out, layer.activation);
+        }
+        cur = c;
+        ld_cur = ld;
+      }
+    }
+    for (std::size_t r = tile_end; r < row1; ++r) {
+      const double* cur = input + r * in_size;
+      for (std::size_t li = 0; li <= last; ++li) {
+        const DenseLayer& layer = layers[li];
+        const auto [base, ld] = dst(li);
+        double* y = base + r * ld;
+        gemv::bias_act(layer.fan_in(), layer.fan_out(), cur, panels[li].data(),
+                       layer.bias.data(), static_cast<int>(layer.activation), y);
+        cur = y;
+      }
+    }
+  };
+  const std::size_t min_rows =
+      (kMinMacsPerChunk + row_macs - 1) / std::max<std::size_t>(1, row_macs);
+  parallel_for_rows(batch, std::max(min_rows, kTileRows), kTileRows, forward_rows);
+}
 
 /// fn(begin, end) over element ranges of m made of whole rows, split across
-/// the compute pool. For per-element work (bias, activation and its
-/// derivative) the split changes no bits.
+/// the compute pool. For per-element work (an activation derivative) the
+/// split changes no bits.
 template <typename Fn>
 void for_row_ranges(const Matrix& m, Fn&& fn) {
   constexpr std::size_t kMinElementsPerChunk = 64 * 1024;
@@ -144,21 +229,15 @@ void for_row_ranges(const Matrix& m, Fn&& fn) {
 }  // namespace
 
 const Matrix& Mlp::forward(const Matrix& x) {
-  const Matrix* h = &x;
-  for (DenseLayer& layer : layers_) {
-    layer.input = *h;  // copy-assign reuses the cache's existing capacity
-    matmul_into(layer.output, *h, layer.weights);
-    double* out = layer.output.data();
-    const double* bias = layer.bias.data();
-    const std::size_t n_out = layer.fan_out();
-    for_row_ranges(layer.output, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; i += n_out) {
-        for (std::size_t j = 0; j < n_out; ++j) out[i + j] += bias[j];
-      }
-      apply_activation(out + begin, end - begin, layer.activation);
-    });
-    h = &layer.output;
-  }
+  if (x.cols() != input_size()) throw std::invalid_argument("Mlp::forward: input size");
+  input_ = x;  // copy-assign reuses the cache's existing capacity
+  for (DenseLayer& layer : layers_) layer.output.ensure_shape(x.rows(), layer.fan_out());
+  const PackCache& cache = ensure_packed();
+  forward_layers(layers_, cache.panels, cache.gemm_slabs, input_.data(), x.rows(),
+                 [this](std::size_t li) {
+                   return std::pair<double*, std::size_t>(layers_[li].output.data(),
+                                                          layers_[li].fan_out());
+                 });
   return layers_.back().output;
 }
 
@@ -201,72 +280,24 @@ void Mlp::predict_batch(const double* input, std::size_t batch, std::vector<doub
     return;
   }
   const PackCache& cache = ensure_packed();
-  // Layer li writes row r at dst[li] + r * ld[li]: hidden layers alternate
-  // between the two scratch blocks, each with the row stride of its widest
-  // layer, and the last layer writes `out`. Everything is sized here,
-  // before the fork, so every chunk works in its own rows and none
-  // allocates.
+  // Layer li writes row r at dst(li).first + r * dst(li).second: hidden
+  // layers alternate between the two scratch blocks, each with the row
+  // stride of its widest layer, and the last layer writes `out`. Everything
+  // is sized here, before the fork, so every chunk works in its own rows
+  // and none allocates.
   const std::size_t last = layers_.size() - 1;
   std::size_t stride[2] = {0, 0};
-  std::size_t row_macs = 0;
-  for (std::size_t li = 0; li <= last; ++li) {
-    if (li < last) stride[li % 2] = std::max(stride[li % 2], layers_[li].fan_out());
-    row_macs += layers_[li].fan_in() * layers_[li].fan_out();
+  for (std::size_t li = 0; li < last; ++li) {
+    stride[li % 2] = std::max(stride[li % 2], layers_[li].fan_out());
   }
   if (scratch.a.size() < batch * stride[0]) scratch.a.resize(batch * stride[0]);
   if (scratch.b.size() < batch * stride[1]) scratch.b.resize(batch * stride[1]);
   out.resize(batch * output_size());
-  const auto dst = [&](std::size_t li) {
-    return li == last ? out.data() : (li % 2 == 0 ? scratch.a.data() : scratch.b.data());
-  };
-  const auto ld = [&](std::size_t li) { return li == last ? output_size() : stride[li % 2]; };
-
-  // Whole register tiles go through the GEMM over the packed slabs with the
-  // operation order of predict() (matmul, bias row add, activation); the
-  // batch's 1-3 trailing rows take the packed GEMV, which beats the GEMM's
-  // partial-tile edge and is bit-identical per row.
-  const auto forward_rows = [&](std::size_t row0, std::size_t row1) {
-    const std::size_t tile_end = row0 + (row1 - row0) / kTileRows * kTileRows;
-    if (tile_end > row0) {
-      const std::size_t rows = tile_end - row0;
-      const double* cur = input + row0 * input_size();
-      std::size_t ld_cur = input_size();
-      for (std::size_t li = 0; li <= last; ++li) {
-        const DenseLayer& layer = layers_[li];
-        const std::size_t n_out = layer.fan_out();
-        double* c = dst(li) + row0 * ld(li);
-        gemm::nn_packed(rows, n_out, layer.fan_in(), cur, ld_cur, cache.gemm_slabs[li].data(),
-                        c, ld(li), /*accumulate=*/false);
-        const double* bias = layer.bias.data();
-        for (std::size_t r = 0; r < rows; ++r) {
-          double* row = c + r * ld(li);
-          for (std::size_t j = 0; j < n_out; ++j) row[j] += bias[j];
-          apply_activation(row, n_out, layer.activation);
-        }
-        cur = c;
-        ld_cur = ld(li);
-      }
-    }
-    for (std::size_t r = tile_end; r < row1; ++r) {
-      const double* cur = input + r * input_size();
-      for (std::size_t li = 0; li <= last; ++li) {
-        const DenseLayer& layer = layers_[li];
-        double* y = dst(li) + r * ld(li);
-        gemv::bias_act(layer.fan_in(), layer.fan_out(), cur, cache.panels[li].data(),
-                       layer.bias.data(), static_cast<int>(layer.activation), y);
-        cur = y;
-      }
-    }
-  };
-
-  // One fork per forward: each chunk runs every layer on its own rows, so
-  // the whole network, not just its widest product, splits across the
-  // pool. Chunk starts stay tile-aligned, so only the last chunk can hold
-  // GEMV rows; the GEMM calls inside a chunk nest in this region and run
-  // inline.
-  const std::size_t min_rows =
-      (kMinMacsPerChunk + row_macs - 1) / std::max<std::size_t>(1, row_macs);
-  parallel_for_rows(batch, std::max(min_rows, kTileRows), kTileRows, forward_rows);
+  forward_layers(layers_, cache.panels, cache.gemm_slabs, input, batch, [&](std::size_t li) {
+    if (li == last) return std::pair<double*, std::size_t>(out.data(), output_size());
+    std::vector<double>& buf = li % 2 == 0 ? scratch.a : scratch.b;
+    return std::pair<double*, std::size_t>(buf.data(), stride[li % 2]);
+  });
 }
 
 void Mlp::predict_row_legacy(std::span<const double> input, std::vector<double>& out,
@@ -299,35 +330,50 @@ void Mlp::predict_row_legacy(std::span<const double> input, std::vector<double>&
 }
 
 const Matrix& Mlp::backward(const Matrix& grad_output) {
-  if (layers_.back().input.empty()) throw std::logic_error("Mlp::backward without forward");
-  layers_.back().grad_preact = grad_output;  // copy into the reused cache
+  if (input_.empty()) throw std::logic_error("Mlp::backward without forward");
+  const std::size_t batch = input_.rows();
+  DenseLayer& top = layers_.back();
+  if (grad_output.rows() != batch || grad_output.cols() != top.fan_out()) {
+    throw std::invalid_argument("Mlp::backward: gradient shape");
+  }
+  top.grad_preact = grad_output;  // copy into the reused cache
+  double* g_top = top.grad_preact.data();
+  for_row_ranges(top.grad_preact, [&](std::size_t begin, std::size_t end) {
+    apply_derivative(g_top, top.output.data(), begin, end, top.activation);
+  });
   for (std::size_t li = layers_.size(); li-- > 0;) {
     DenseLayer& layer = layers_[li];
-    if (layer.input.empty()) throw std::logic_error("Mlp::backward without forward");
-
-    // d(loss)/d(pre-activation), in place on the cached gradient.
-    Matrix& grad = layer.grad_preact;
-    double* g = grad.data();
-    const double* y = layer.output.data();
-    switch (layer.activation) {
-      case Activation::kLinear: break;
-      case Activation::kTanh:
-        for_row_ranges(grad, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) g[i] *= (1.0 - y[i] * y[i]);
-        });
-        break;
-      case Activation::kRelu:
-        for_row_ranges(grad, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            if (y[i] <= 0.0) g[i] = 0.0;
-          }
-        });
-        break;
-    }
-
-    matmul_tn_acc(layer.grad_weights, layer.input, grad);
+    // grad_preact holds d(loss)/d(pre-activation) of this layer here.
+    const Matrix& grad = layer.grad_preact;
+    matmul_tn_acc(layer.grad_weights, layer_input(li), grad);
     add_column_sums(layer.grad_bias, grad);
-    if (li > 0) matmul_nt_into(layers_[li - 1].grad_preact, grad, layer.weights);
+    if (li == 0) break;
+
+    // The previous layer's gradient, G W^T, and its activation derivative
+    // are both row-local: one fork over rows runs the product over W^T
+    // packed once before it (bit-identical to gemm::nt, whose panels these
+    // are) and then the derivative on the same rows while they are in
+    // cache. The slab is packed here, not per chunk, so no pool thread
+    // allocates one.
+    DenseLayer& prev = layers_[li - 1];
+    const std::size_t n_in = layer.fan_in();
+    const std::size_t n_out = layer.fan_out();
+    backward_slab_.resize(gemm::packed_b_size(n_out, n_in));
+    gemm::pack_bt(n_out, n_in, layer.weights.data(), n_out, backward_slab_.data());
+    prev.grad_preact.ensure_shape(batch, n_in);
+    const double* g = grad.data();
+    double* g_prev = prev.grad_preact.data();
+    const double* y_prev = prev.output.data();
+    const std::size_t min_rows = (kMinMacsPerChunk + n_in * n_out - 1) /
+                                 std::max<std::size_t>(1, n_in * n_out);
+    parallel_for_rows(batch, std::max(min_rows, kTileRows), kTileRows,
+                      [&](std::size_t row0, std::size_t row1) {
+                        gemm::nn_packed(row1 - row0, n_in, n_out, g + row0 * n_out, n_out,
+                                        backward_slab_.data(), g_prev + row0 * n_in, n_in,
+                                        /*accumulate=*/false);
+                        apply_derivative(g_prev, y_prev, row0 * n_in, row1 * n_in,
+                                         prev.activation);
+                      });
   }
   return layers_.front().grad_preact;
 }

@@ -30,7 +30,8 @@ struct DenseLayer {
   Matrix grad_bias;
 
   // Caches from the last forward()/backward() pass (training mode only).
-  Matrix input;        ///< [batch, in]   — KFAC factor A uses this
+  // A layer's input is the previous layer's output (the first layer's is
+  // kept by the Mlp): see Mlp::layer_input.
   Matrix output;       ///< [batch, out]  — post-activation
   Matrix grad_preact;  ///< [batch, out]  — KFAC factor G uses this
 
@@ -65,11 +66,20 @@ class Mlp {
   Mlp& operator=(Mlp&&) noexcept;
   ~Mlp();
 
-  /// Training-mode forward: caches per-layer inputs/outputs for backward().
-  /// Returns the last layer's cached output; the reference stays valid until
-  /// the next forward(). Layer caches are reused across calls, so at a
-  /// steady batch shape this performs no heap allocation.
+  /// Training-mode forward: caches the input and every layer's output for
+  /// backward(). Runs predict_batch's row-chunk routine (one fork, packed
+  /// weight slabs, fused bias and activation) writing straight into each
+  /// layer's output, so it is bit-identical to predict() and
+  /// predict_batch(). Returns the last layer's cached output; the reference
+  /// stays valid until the next forward(). Layer caches are reused across
+  /// calls, so at a steady batch shape this performs no heap allocation.
   const Matrix& forward(const Matrix& x);
+  /// Input of layer li in the last forward(): the forward's input for the
+  /// first layer, the previous layer's output after it. K-FAC's A factor
+  /// is built from these.
+  const Matrix& layer_input(std::size_t li) const noexcept {
+    return li == 0 ? input_ : layers_[li - 1].output;
+  }
   /// Inference-mode forward: no caches touched; safe to call concurrently
   /// from multiple threads on a shared const Mlp.
   Matrix predict(const Matrix& x) const;
@@ -122,7 +132,9 @@ class Mlp {
   /// accumulating parameter gradients. Returns the first layer's
   /// pre-activation gradient (valid until the next backward()). Gradient
   /// buffers are reused across calls: no heap allocation at a steady batch
-  /// shape.
+  /// shape. Per layer: the bias sums split by column, and the input
+  /// gradient G W^T over a packed W^T with the next layer's activation
+  /// derivative runs in one fork over rows.
   const Matrix& backward(const Matrix& grad_output);
 
   void zero_grad();
@@ -149,11 +161,13 @@ class Mlp {
  private:
   struct PackCache;  // packed gemv weight panels (mutex + atomic valid flag)
 
-  static void apply_activation(double* v, std::size_t count, Activation act) noexcept;
   void invalidate_pack() noexcept;
   const PackCache& ensure_packed() const;
 
   std::vector<DenseLayer> layers_;
+  Matrix input_;  ///< the last forward()'s input, the first layer's input
+  /// backward()'s packed W^T of the layer being differentiated.
+  std::vector<double> backward_slab_;
   /// Lazily packed per-layer weight panels for the gemv fast path. Mutable:
   /// packing is a cache fill on a logically-const network. Held by pointer
   /// so the synchronisation members don't pin the Mlp in place.

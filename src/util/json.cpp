@@ -25,6 +25,19 @@ class Parser {
     throw JsonError("JSON parse error at offset " + std::to_string(pos_) + ": " + why);
   }
 
+  /// Enter one level of array or object nesting. A throw abandons the
+  /// whole parse, so only a successful nested parse needs to leave().
+  void enter() {
+    if (++depth_ > Json::kMaxDepth) {
+      throw JsonDepthError("JSON parse error at offset " + std::to_string(pos_) +
+                           ": nesting deeper than " + std::to_string(Json::kMaxDepth));
+    }
+  }
+  Json leave(Json value) {
+    --depth_;
+    return value;
+  }
+
   void skip_whitespace() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -63,8 +76,12 @@ class Parser {
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+        enter();
+        return leave(parse_object());
+      case '[':
+        enter();
+        return leave(parse_array());
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -188,6 +205,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 [[noreturn]] void type_error(const char* expected) {
@@ -304,6 +322,11 @@ void dump_string(std::string& out, const std::string& s) {
 }
 
 void dump_number(std::string& out, double value) {
+  // JSON has no NaN or infinity; a reader must still accept the document.
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
   if (value == std::floor(value) && std::abs(value) < 1e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));

@@ -23,6 +23,14 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown by Json::parse on input nested deeper than Json::kMaxDepth
+/// arrays and objects: the recursive parser would otherwise run off its
+/// stack (100,000 nested '[' crash it) on a hostile file.
+class JsonDepthError : public JsonError {
+ public:
+  using JsonError::JsonError;
+};
+
 /// Immutable-ish JSON document node. Value-semantic; arrays/objects own
 /// their children.
 class Json {
@@ -43,7 +51,13 @@ class Json {
   Json(Array a) : type_(Type::kArray), array_(std::move(a)) {}
   Json(Object o) : type_(Type::kObject), object_(std::move(o)) {}
 
-  /// Parse a complete JSON document; trailing non-whitespace is an error.
+  /// Deepest nesting of arrays and objects parse() accepts. A constant, not
+  /// a knob: every checked-in scenario, corpus and policy file nests fewer
+  /// than 10 levels, and 256 recursive frames fit any thread's stack.
+  static constexpr int kMaxDepth = 256;
+
+  /// Parse a complete JSON document; trailing non-whitespace is an error,
+  /// and so is nesting past kMaxDepth (JsonDepthError).
   static Json parse(std::string_view text);
   /// Load and parse a file. Throws JsonError on IO failure.
   static Json load_file(const std::string& path);

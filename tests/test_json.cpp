@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -93,6 +96,50 @@ TEST(Json, DumpEscapesControlCharacters) {
 TEST(Json, IntegersStayExact) {
   EXPECT_EQ(Json(123456789).dump(), "123456789");
   EXPECT_EQ(Json(-5).dump(), "-5");
+}
+
+TEST(Json, NonFiniteNumbersDumpAsNull) {
+  // JSON has no NaN or infinity: a document holding them must still parse.
+  Json::Array values{Json(std::numeric_limits<double>::quiet_NaN()),
+                     Json(std::numeric_limits<double>::infinity()),
+                     Json(-std::numeric_limits<double>::infinity()), Json(1.5)};
+  const std::string text = Json(std::move(values)).dump();
+  EXPECT_EQ(text, "[null,null,null,1.5]");
+  const Json again = Json::parse(text);
+  ASSERT_EQ(again.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(again.at(i).is_null()) << i;
+  EXPECT_DOUBLE_EQ(again.at(3).as_number(), 1.5);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  // Deep but legal nesting parses...
+  const int ok = Json::kMaxDepth;
+  const Json doc = Json::parse(std::string(ok, '[') + std::string(ok, ']'));
+  EXPECT_TRUE(doc.is_array());
+  EXPECT_THROW(Json::parse(std::string(ok + 1, '[') + std::string(ok + 1, ']')),
+               JsonDepthError);
+  // ...and a hostile document throws the named error instead of running
+  // the recursive parser off its stack.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonDepthError);
+  EXPECT_THROW(Json::parse(std::string(100000, '{')), JsonError);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(Json::parse(objects), JsonDepthError);
+}
+
+TEST(Json, CheckedInFilesParseUnderTheDepthBound) {
+  // Every scenario, corpus scenario and policy file in the source tree.
+  const std::filesystem::path root = DOSC_SOURCE_DIR;
+  std::size_t files = 0;
+  for (const auto& dir : {root / "scenarios", root / "scenarios" / "corpus",
+                          root / "perfbench" / "data"}) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() != ".json") continue;
+      EXPECT_NO_THROW(Json::load_file(entry.path().string())) << entry.path();
+      ++files;
+    }
+  }
+  EXPECT_GE(files, 17u);
 }
 
 TEST(Json, FileRoundTrip) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
@@ -235,33 +237,76 @@ Matrix random_normal(std::size_t r, std::size_t c, util::Rng& rng) {
 }
 
 TEST(Cholesky, BitIdenticalToTextbookSolve) {
+  // Orders on both sides of every edge of the factorisation's register
+  // tiles (4 rows x 8 columns) and of its 32-pivot panels, up to K-FAC's
+  // 256/257.
   util::Rng rng(17);
-  const std::size_t n = 257;
-  // A well-conditioned SPD matrix (Gram of a tall random matrix, as K-FAC's
-  // factors are), solved in one attempt...
-  const Matrix x_tall = random_normal(600, n, rng);
-  const Matrix spd = matmul_tn(x_tall, x_tall);
-  // ...and an indefinite one (rank 100 minus 1e-4 I): the factorisation
-  // fails until the damping has grown past 1e-4.
-  const Matrix x_wide = random_normal(100, n, rng);
-  Matrix indefinite = matmul_tn(x_wide, x_wide);
-  for (std::size_t i = 0; i < n; ++i) indefinite(i, i) -= 1e-4;
+  std::vector<std::size_t> orders;
+  for (std::size_t n = 1; n <= 9; ++n) orders.push_back(n);
+  for (const std::size_t n : {31u, 32u, 33u, 63u, 64u, 65u, 255u, 256u, 257u}) {
+    orders.push_back(n);
+  }
+  for (const std::size_t n : orders) {
+    // A well-conditioned SPD matrix (Gram of a tall random matrix, as
+    // K-FAC's factors are), solved in one attempt...
+    const Matrix x_tall = random_normal(n + 40, n, rng);
+    const Matrix spd = matmul_tn(x_tall, x_tall);
+    // ...and an indefinite one (rank n / 2 minus 1e-4 I): the factorisation
+    // fails until the damping has grown past 1e-4.
+    const Matrix x_wide = random_normal(std::max<std::size_t>(1, n / 2), n, rng);
+    Matrix indefinite = matmul_tn(x_wide, x_wide);
+    for (std::size_t i = 0; i < n; ++i) indefinite(i, i) -= 1e-4;
 
-  for (const std::size_t rhs : {1u, 5u, 256u}) {
-    const Matrix b = random_normal(n, rhs, rng);
-    int attempts = 0;
-    const Matrix expected_spd = textbook_solve(spd, b, 0.01, attempts);
-    EXPECT_EQ(attempts, 1);
-    const Matrix expected_retry = textbook_solve(indefinite, b, 0.0, attempts);
-    EXPECT_GT(attempts, 2) << "the damping-retry path was not exercised";
-    for (const std::size_t threads : {1u, 4u}) {
-      ComputeThreadsGuard guard(threads);
-      EXPECT_EQ(bit_mismatches(cholesky_solve(spd, b, 0.01), expected_spd), 0u)
-          << rhs << " rhs, " << threads << " threads";
-      EXPECT_EQ(bit_mismatches(cholesky_solve(indefinite, b, 0.0), expected_retry), 0u)
-          << rhs << " rhs (damping retry), " << threads << " threads";
+    for (const std::size_t rhs : {1u, 5u, 256u}) {
+      if (rhs == 256u && n < 255u) continue;
+      const Matrix b = random_normal(n, rhs, rng);
+      int attempts = 0;
+      const Matrix expected_spd = textbook_solve(spd, b, 0.01, attempts);
+      EXPECT_EQ(attempts, 1) << "order " << n;
+      const Matrix expected_retry = textbook_solve(indefinite, b, 0.0, attempts);
+      if (n > 1) {
+        EXPECT_GT(attempts, 2) << "order " << n << ": no damping retry";
+      }
+      for (const std::size_t threads : {1u, 4u}) {
+        ComputeThreadsGuard guard(threads);
+        EXPECT_EQ(bit_mismatches(cholesky_solve(spd, b, 0.01), expected_spd), 0u)
+            << "order " << n << ", " << rhs << " rhs, " << threads << " threads";
+        EXPECT_EQ(bit_mismatches(cholesky_solve(indefinite, b, 0.0), expected_retry), 0u)
+            << "order " << n << ", " << rhs << " rhs (damping retry), " << threads
+            << " threads";
+      }
     }
   }
+}
+
+TEST(Cholesky, RightSolveBitIdenticalToTransposedSolve) {
+  // X (L L^T)^-1 row by row must equal ((L L^T)^-1 X^T)^T, the transposes
+  // K-FAC's step used to make, bit for bit: each row of X is solved with
+  // exactly its column's operations. Row counts straddle the 16-row
+  // substitution blocks; order 520 takes the path past the stack block.
+  util::Rng rng(23);
+  for (const std::size_t n : {1u, 5u, 21u, 256u, 257u, 520u}) {
+    const Matrix x_tall = random_normal(n + 40, n, rng);
+    const Matrix spd = matmul_tn(x_tall, x_tall);
+    Matrix l;
+    cholesky_factor(l, spd, 0.01);
+    for (const std::size_t rows : {1u, 15u, 17u, 257u}) {
+      if (n == 520u && rows == 257u) continue;
+      const Matrix b = random_normal(rows, n, rng);
+      const Matrix expected = transpose(cholesky_solve(spd, transpose(b), 0.01));
+      for (const std::size_t threads : {1u, 4u}) {
+        ComputeThreadsGuard guard(threads);
+        Matrix x = b;
+        cholesky_substitute_right(l, x);
+        EXPECT_EQ(bit_mismatches(x, expected), 0u)
+            << "order " << n << ", " << rows << " rows, " << threads << " threads";
+      }
+    }
+  }
+  Matrix l;
+  cholesky_factor(l, Matrix::identity(3), 0.0);
+  Matrix wrong(2, 4);
+  EXPECT_THROW(cholesky_substitute_right(l, wrong), std::invalid_argument);
 }
 
 TEST(Cholesky, LargeSystemBitIdenticalToTextbookSolve) {

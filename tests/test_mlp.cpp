@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,49 @@ TEST(Mlp, PredictBatchMatchesPredictRow) {
         ASSERT_EQ(out.size(), batch * out_dim);
         EXPECT_EQ(std::memcmp(out.data(), expect.data(), out.size() * sizeof(double)), 0)
             << "in " << in << " batch " << batch << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Mlp, ForwardOutputsAndCachesBitIdenticalToPredict) {
+  // forward() runs the same row-chunk routine as predict_batch, writing
+  // every layer's output cache. Each cache must equal predict() of the
+  // network cut after that layer, bit for bit, at every batch size: edge
+  // tiles (1-9 rows) and the training batch (2,306 rows, forked).
+  util::Rng rng(8);
+  const std::vector<std::size_t> sizes{20, 256, 256, 5};
+  Mlp net(sizes, Activation::kTanh, Activation::kLinear, 23);
+  const std::vector<double> params = net.get_parameters();
+  std::vector<Mlp> prefixes;
+  std::size_t offset = 0;
+  for (std::size_t li = 0; li + 1 < sizes.size(); ++li) {
+    offset += (sizes[li] + 1) * sizes[li + 1];
+    const std::vector<std::size_t> cut(sizes.begin(), sizes.begin() + li + 2);
+    const bool last = li + 2 == sizes.size();
+    prefixes.emplace_back(cut, Activation::kTanh, last ? Activation::kLinear : Activation::kTanh,
+                          std::span<const double>(params.data(), offset));
+  }
+  std::vector<std::size_t> batches;
+  for (std::size_t b = 1; b <= 9; ++b) batches.push_back(b);
+  batches.push_back(2306);
+  for (const std::size_t threads : {1u, 4u}) {
+    ComputeThreadsGuard guard(threads);
+    for (const std::size_t batch : batches) {
+      const Matrix x = random_matrix(batch, sizes.front(), rng);
+      const Matrix& out = net.forward(x);
+      EXPECT_EQ(&out, &net.layers().back().output);
+      const Matrix& input = net.layer_input(0);
+      ASSERT_EQ(input.rows(), batch);
+      EXPECT_EQ(std::memcmp(input.data(), x.data(), x.size() * sizeof(double)), 0);
+      for (std::size_t li = 0; li < prefixes.size(); ++li) {
+        const Matrix expect = prefixes[li].predict(x);
+        const Matrix& got = net.layers()[li].output;
+        ASSERT_EQ(got.rows(), expect.rows());
+        ASSERT_EQ(got.cols(), expect.cols());
+        EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size() * sizeof(double)), 0)
+            << "layer " << li << " batch " << batch << " threads " << threads;
+        if (li + 1 < prefixes.size()) EXPECT_EQ(&net.layer_input(li + 1), &got);
       }
     }
   }

@@ -6,7 +6,10 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string_view>
 
+#include "core/policy_io.hpp"
+#include "nn/gemm.hpp"
 #include "nn/kfac.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/parallel.hpp"
@@ -158,6 +161,18 @@ TEST(Kfac, ParametersBitIdenticalAcrossThreadCounts) {
     if (std::memcmp(&one[i], &four[i], sizeof(double)) != 0) ++mismatches;
   }
   EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Kfac, ParametersPinnedAcrossRevisions) {
+  // The checksum of the same run as recorded before the tiled Cholesky, the
+  // row-wise right solve and the one-fork training forward: any change to
+  // an element's chain of operations shows here, whatever the thread count.
+  // The value holds for the AVX2+FMA GEMM dispatch only (the baseline
+  // kernels round differently).
+  if (std::string_view(gemm::isa_name()) != "avx2+fma") {
+    GTEST_SKIP() << "pinned at avx2+fma, running " << gemm::isa_name();
+  }
+  EXPECT_EQ(core::policy_checksum(kfac_parameters_after_updates(4)), 0xa08146498dae9a43ull);
 }
 
 TEST(Optimizer, LearningRateSetter) {

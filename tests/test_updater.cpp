@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <limits>
+#include <string_view>
 
+#include "core/policy_io.hpp"
+#include "nn/gemm.hpp"
 #include "rl/updater.hpp"
 
 namespace dosc::rl {
@@ -277,6 +280,38 @@ TEST(Updater, ClippedWeightScalesActorGradientExactly) {
       ASSERT_DOUBLE_EQ(delta_a, delta_b) << "critic parameter " << i;
     }
   }
+}
+
+TEST(Updater, PaperScaleUpdatesPinnedAcrossRevisions) {
+  // Three ACKTR updates of the paper's 2x256 actor-critic at 2,306 rows
+  // (perfbench train's mean rows per update), checksummed as recorded
+  // before the tiled Cholesky, the row-wise right solve and the one-fork
+  // training forward. Pinned for the AVX2+FMA GEMM dispatch only.
+  if (std::string_view(nn::gemm::isa_name()) != "avx2+fma") {
+    GTEST_SKIP() << "pinned at avx2+fma, running " << nn::gemm::isa_name();
+  }
+  ActorCriticConfig net_config;
+  net_config.obs_dim = 20;
+  net_config.num_actions = 5;
+  net_config.hidden = {256, 256};
+  net_config.seed = 1;
+  ActorCritic net(net_config);
+  Updater updater(UpdaterConfig{});
+  util::Rng rng(7);
+  const std::size_t n = 2306;
+  for (int update = 0; update < 3; ++update) {
+    Batch batch;
+    batch.obs = nn::Matrix(n, 20);
+    for (std::size_t i = 0; i < batch.obs.size(); ++i) {
+      batch.obs.data()[i] = rng.uniform(-1.0, 1.0);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.actions.push_back(static_cast<int>(rng.uniform_int(0, 4)));
+      batch.returns.push_back(rng.uniform(-1.0, 1.0));
+    }
+    updater.update(net, batch);
+  }
+  EXPECT_EQ(core::policy_checksum(net.get_parameters()), 0x383c13ef68af855eull);
 }
 
 TEST(Updater, PaperHyperparametersAreDefaults) {
